@@ -263,7 +263,7 @@ def run_local_rowsgd(
             trainer.optimizer.step(trainer._params, gradient, t)
 
         _, update_s = runtime.measure(center_update)
-        compute_s = max((r.seconds for r in replies.values()), default=0.0)
+        compute_s = runtime.busiest_process_seconds(replies)
         comm_s = max(0.0, exchange_s - compute_s)
         phase_seconds = {
             "pull": comm_s / 2.0,

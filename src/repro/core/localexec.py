@@ -439,14 +439,14 @@ def run_local_columnsgd(
         retries += upd_retries
         runtime.broadcast(MessageKind.STATISTICS_BCAST, len(reduced_payload))
 
-        stats_max = max((r.seconds for r in stats_replies.values()), default=0.0)
-        upd_max = max((r.seconds for r in upd_replies.values()), default=0.0)
+        stats_busy = runtime.busiest_process_seconds(stats_replies)
+        upd_busy = runtime.busiest_process_seconds(upd_replies)
         phase_seconds = {
-            "compute_statistics": stats_max,
-            "gather": max(0.0, stats_s - stats_max),
+            "compute_statistics": stats_busy,
+            "gather": max(0.0, stats_s - stats_busy),
             "reduce": reduce_s,
-            "broadcast": max(0.0, upd_s - upd_max),
-            "update_model": upd_max,
+            "broadcast": max(0.0, upd_s - upd_busy),
+            "update_model": upd_busy,
         }
         _trace_round(trace, t, round_start, phase_seconds)
         worker_seconds = {

@@ -10,7 +10,7 @@ Algorithm 3's Step 1, ``update_model`` is Step 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from repro.errors import WorkerFailedError
 from repro.linalg import CSRMatrix
 from repro.models.base import StatisticsModel
 from repro.optim.base import Optimizer
+from repro.partition.indexing import Draws
 from repro.partition.workset import WorksetStore
 
 
@@ -71,7 +72,7 @@ class ColumnWorker:
     # Algorithm 3, Step 1
     # ------------------------------------------------------------------
     def compute_statistics(
-        self, draws: Sequence[Tuple[int, int]]
+        self, draws: Union[Draws, Iterable[Tuple[int, int]]]
     ) -> Tuple[np.ndarray, int]:
         """Partial statistics over *all* stored partitions for the batch.
 
@@ -82,6 +83,7 @@ class ColumnWorker:
         """
         self._check_alive()
         self._cached_batches.clear()
+        draws = Draws.of(draws)
         stats = None
         nnz = 0
         for pid in self.partition_ids():

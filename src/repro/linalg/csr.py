@@ -19,6 +19,25 @@ from repro.linalg.counters import OP_COUNTERS
 from repro.linalg.sparse_vector import SparseVector
 
 
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``[s, s + n)`` for each ``(s, n)`` pair, concatenated in order.
+
+    Equals ``np.concatenate([np.arange(s, s + n) ...])`` in one int64
+    allocation: a running sum of steps that are 1 inside a range and
+    jump to the next range's start at its first entry.  This is the
+    source (or destination) index of a row gather.
+    """
+    keep = lengths > 0
+    starts, lengths = starts[keep], lengths[keep]
+    if not starts.size:
+        return np.empty(0, dtype=np.int64)
+    steps = np.ones(int(lengths.sum()), dtype=np.int64)
+    steps[0] = starts[0]
+    firsts = np.cumsum(lengths[:-1])
+    steps[firsts] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
+    return np.cumsum(steps, out=steps)
+
+
 class CSRMatrix:
     """CSR matrix with float64 data and int64 indices.
 
@@ -162,7 +181,8 @@ class CSRMatrix:
         """Gather rows (with repetition allowed) into a new matrix.
 
         This is the mini-batch sampling primitive: sampling ``B`` rows out
-        of a shard is one ``take_rows`` call.
+        of a shard is one ``take_rows`` call.  Each stored entry is copied
+        once, through one gather over the concatenated source rows.
         """
         row_ids = np.asarray(row_ids, dtype=np.int64)
         if row_ids.size and (row_ids.min() < 0 or row_ids.max() >= self.n_rows):
@@ -171,19 +191,13 @@ class CSRMatrix:
                     self.n_rows, row_ids.min(), row_ids.max()
                 )
             )
-        lengths = self.indptr[row_ids + 1] - self.indptr[row_ids]
+        starts = self.indptr[row_ids]
+        lengths = self.indptr[row_ids + 1] - starts
         indptr = np.zeros(row_ids.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
-        nnz = int(indptr[-1])
-        OP_COUNTERS.add_alloc(2 * nnz)
-        indices = np.empty(nnz, dtype=np.int64)
-        data = np.empty(nnz, dtype=np.float64)
-        for out_i, row_i in enumerate(row_ids):
-            src0, src1 = self.indptr[row_i], self.indptr[row_i + 1]
-            dst0, dst1 = indptr[out_i], indptr[out_i + 1]
-            indices[dst0:dst1] = self.indices[src0:src1]
-            data[dst0:dst1] = self.data[src0:src1]
-        return CSRMatrix(indptr, indices, data, self.n_cols)
+        OP_COUNTERS.add_alloc(3 * int(indptr[-1]))  # indices + data + src
+        src = concat_ranges(starts, lengths)
+        return CSRMatrix(indptr, self.indices[src], self.data[src], self.n_cols)
 
     def slice_rows(self, start: int, stop: int) -> "CSRMatrix":
         """Contiguous row slice ``[start, stop)`` without copying per row."""

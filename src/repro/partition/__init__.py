@@ -16,7 +16,7 @@ from repro.partition.column import (
 )
 from repro.partition.workset import Workset, WorksetStore
 from repro.partition.row import RowPartitioner
-from repro.partition.indexing import TwoPhaseIndex
+from repro.partition.indexing import Draws, TwoPhaseIndex
 from repro.partition.dispatch import (
     LoadReport,
     dispatch_block_based,
@@ -33,6 +33,7 @@ __all__ = [
     "Workset",
     "WorksetStore",
     "RowPartitioner",
+    "Draws",
     "TwoPhaseIndex",
     "LoadReport",
     "dispatch_block_based",

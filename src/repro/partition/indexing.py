@@ -6,18 +6,97 @@ then an ordinal offset inside that block.  Because the seed is a pure
 function of (base seed, iteration), every worker — and the master —
 materialises the identical draw sequence without any communication,
 which is what lets column shards of the same logical row line up across
-the cluster.
+the cluster.  A batch's draws travel as one :class:`Draws` value: two
+read-only int64 arrays, so batch assembly gathers rows without a Python
+loop per draw.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, Tuple, Union
 
 import numpy as np
 
 from repro.errors import PartitionError
 from repro.utils.rng import iteration_seed, rng_from_seed
 from repro.utils.validation import check_positive
+
+
+def _draw_column(values, name: str) -> np.ndarray:
+    """A fresh read-only int64 copy of one draw column."""
+    column = np.array(values)
+    if column.ndim != 1:
+        raise PartitionError(
+            "draw {} must be 1-D, got shape {}".format(name, column.shape)
+        )
+    if column.size and column.dtype.kind not in "iu":
+        raise PartitionError(
+            "draw {} must be integers, got dtype {}".format(name, column.dtype)
+        )
+    column = column.astype(np.int64)
+    column.flags.writeable = False
+    return column
+
+
+@dataclass(frozen=True, eq=False)
+class Draws:
+    """The ``(block_id, offset)`` draws of one mini-batch, in draw order.
+
+    Holds two read-only int64 arrays of equal length.  Iterating yields
+    ``(int, int)`` pairs, so code written against a list of tuples keeps
+    working; :meth:`of` turns such a list back into a ``Draws``.
+    """
+
+    block_ids: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        block_ids = _draw_column(self.block_ids, "block_ids")
+        offsets = _draw_column(self.offsets, "offsets")
+        if block_ids.size != offsets.size:
+            raise PartitionError(
+                "draws have {} block ids but {} offsets".format(
+                    block_ids.size, offsets.size
+                )
+            )
+        object.__setattr__(self, "block_ids", block_ids)
+        object.__setattr__(self, "offsets", offsets)
+
+    @classmethod
+    def of(cls, draws: Union["Draws", Iterable[Tuple[int, int]]]) -> "Draws":
+        """``draws`` itself, or a list of ``(block_id, offset)`` pairs as Draws."""
+        if isinstance(draws, Draws):
+            return draws
+        pairs = list(draws)
+        if not pairs:
+            return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        try:
+            table = np.array(pairs)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise PartitionError(
+                "draws must be (block_id, offset) pairs: {}".format(exc)
+            ) from exc
+        if table.ndim != 2 or table.shape[1] != 2:
+            raise PartitionError(
+                "draws must be (block_id, offset) pairs, got shape {}".format(
+                    table.shape
+                )
+            )
+        return cls(table[:, 0], table[:, 1])
+
+    def __len__(self) -> int:
+        return int(self.block_ids.size)
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        return zip(self.block_ids.tolist(), self.offsets.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Draws):
+            return NotImplemented
+        return np.array_equal(self.block_ids, other.block_ids) and np.array_equal(
+            self.offsets, other.offsets
+        )
 
 
 class TwoPhaseIndex:
@@ -41,7 +120,12 @@ class TwoPhaseIndex:
         )
         if np.any(self._sizes <= 0):
             raise PartitionError("all blocks must have at least one row")
-        self._weights = self._sizes / self._sizes.sum()
+        weights = self._sizes / self._sizes.sum()
+        # Generator.choice(n, p=weights) draws searchsorted(cdf, random(),
+        # side="right") over this normalised cdf; precomputing it skips
+        # choice's per-call validation of p, with identical draws.
+        self._cdf = weights.cumsum()
+        self._cdf /= self._cdf[-1]
         self._cum_sizes = np.concatenate([[0], np.cumsum(self._sizes)])
         self.base_seed = int(base_seed)
 
@@ -55,7 +139,7 @@ class TwoPhaseIndex:
         """Number of indexed blocks."""
         return int(self._block_ids.size)
 
-    def sample(self, iteration: int, batch_size: int) -> List[Tuple[int, int]]:
+    def sample(self, iteration: int, batch_size: int) -> Draws:
         """Draw ``batch_size`` (block id, offset) pairs for ``iteration``.
 
         Deterministic: the same (base_seed, iteration) yields the same
@@ -64,28 +148,33 @@ class TwoPhaseIndex:
         """
         check_positive(batch_size, "batch_size")
         rng = rng_from_seed(iteration_seed(self.base_seed, iteration))
-        block_pos = rng.choice(self.n_blocks, size=batch_size, p=self._weights)
+        block_pos = self._cdf.searchsorted(rng.random(batch_size), side="right")
         offsets = rng.integers(0, self._sizes[block_pos])
-        return [
-            (int(self._block_ids[b]), int(o)) for b, o in zip(block_pos, offsets)
-        ]
+        return Draws(self._block_ids[block_pos], offsets)
 
-    def to_global_rows(self, draws: List[Tuple[int, int]]) -> np.ndarray:
+    def to_global_rows(
+        self, draws: Union[Draws, Iterable[Tuple[int, int]]]
+    ) -> np.ndarray:
         """Convert draws into global row ids (blocks laid out in id order).
 
         Only valid when block ids map to contiguous ranges of the source
         dataset in ascending order — true for the dispatcher's layout.
         Used by equivalence tests and by the driver's loss evaluation.
         """
-        rows = np.empty(len(draws), dtype=np.int64)
-        id_to_pos = {int(b): i for i, b in enumerate(self._block_ids)}
-        for i, (block_id, offset) in enumerate(draws):
-            pos = id_to_pos.get(block_id)
-            if pos is None:
-                raise PartitionError("unknown block id {}".format(block_id))
-            if not 0 <= offset < self._sizes[pos]:
-                raise PartitionError(
-                    "offset {} out of range for block {}".format(offset, block_id)
+        draws = Draws.of(draws)
+        pos = np.searchsorted(self._block_ids, draws.block_ids)
+        pos = np.minimum(pos, self._block_ids.size - 1)
+        unknown = self._block_ids[pos] != draws.block_ids
+        if unknown.any():
+            raise PartitionError(
+                "unknown block id {}".format(draws.block_ids[unknown.argmax()])
+            )
+        bad = (draws.offsets < 0) | (draws.offsets >= self._sizes[pos])
+        if bad.any():
+            i = bad.argmax()
+            raise PartitionError(
+                "offset {} out of range for block {}".format(
+                    draws.offsets[i], draws.block_ids[i]
                 )
-            rows[i] = self._cum_sizes[pos] + offset
-        return rows
+            )
+        return self._cum_sizes[pos] + draws.offsets

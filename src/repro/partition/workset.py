@@ -11,12 +11,15 @@ samples from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Tuple, Union
 
 import numpy as np
 
 from repro.errors import PartitionError
 from repro.linalg import CSRMatrix
+from repro.linalg.csr import concat_ranges
+from repro.linalg.counters import OP_COUNTERS
+from repro.partition.indexing import Draws
 from repro.storage.serialization import workset_bytes
 
 
@@ -122,46 +125,70 @@ class WorksetStore:
         }
 
     def assemble_batch(
-        self, draws: Iterable[Tuple[int, int]]
+        self, draws: Union[Draws, Iterable[Tuple[int, int]]]
     ) -> Tuple[CSRMatrix, np.ndarray]:
         """Gather the rows named by ``(block_id, offset)`` draws.
 
         Returns a local-dimension CSR batch plus the labels, in draw
         order.  Every worker calling this with the same draws gets
         row-aligned shards of the same logical mini-batch — the point of
-        the two-phase index.
+        the two-phase index.  Each block is fetched once, in ascending
+        id order, and each sampled entry is copied once, straight to its
+        row's place in draw order.
         """
-        draws = list(draws)
-        if not draws:
+        draws = Draws.of(draws)
+        n = len(draws)
+        if not n:
             return CSRMatrix.empty(0, self.local_dim), np.empty(0, dtype=np.float64)
-        block_ids = np.asarray([b for b, _ in draws], dtype=np.int64)
-        offsets = np.asarray([o for _, o in draws], dtype=np.int64)
-        # Group draws by block so each block contributes one take_rows call,
-        # then restore draw order with a final gather.
-        order = np.argsort(block_ids, kind="stable")
-        parts = []
-        labels = []
-        pos = 0
-        while pos < order.size:
-            block_id = int(block_ids[order[pos]])
-            end = pos
-            while end < order.size and block_ids[order[end]] == block_id:
-                end += 1
-            workset = self.get(block_id)
-            offs = offsets[order[pos:end]]
-            if offs.size and (offs.min() < 0 or offs.max() >= workset.n_rows):
+        # One stable sort groups the draws by block; [cuts[i], cuts[i+1])
+        # is the i-th block's run in sorted order.
+        order = np.argsort(draws.block_ids, kind="stable")
+        blocks = draws.block_ids[order]
+        offsets = draws.offsets[order]
+        cuts = np.concatenate(([0], np.flatnonzero(np.diff(blocks)) + 1, [n])).tolist()
+        starts = np.empty(n, dtype=np.int64)  # source row starts, sorted order
+        lengths = np.empty(n, dtype=np.int64)  # row nnz, sorted order
+        labels = np.empty(n, dtype=np.float64)
+        sources = []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            workset = self.get(int(blocks[lo]))
+            offs = offsets[lo:hi]
+            if offs.min() < 0 or offs.max() >= workset.n_rows:
                 raise PartitionError(
                     "offset out of range for block {} ({} rows)".format(
-                        block_id, workset.n_rows
+                        workset.block_id, workset.n_rows
                     )
                 )
-            parts.append(workset.features.take_rows(offs))
-            labels.append(workset.labels[offs])
-            pos = end
-        stacked = CSRMatrix.vstack(parts)
-        inverse = np.empty(order.size, dtype=np.int64)
-        inverse[order] = np.arange(order.size)
-        return stacked.take_rows(inverse), np.concatenate(labels)[inverse]
+            row_ptr = workset.features.indptr
+            starts[lo:hi] = row_ptr[offs]
+            lengths[lo:hi] = row_ptr[offs + 1] - starts[lo:hi]
+            labels[order[lo:hi]] = workset.labels[offs]
+            sources.append(workset.features)
+        # Output rows are sized in draw order; src/dst map every entry,
+        # in sorted order, from its block to its place in the batch.
+        draw_lengths = np.empty(n, dtype=np.int64)
+        draw_lengths[order] = lengths
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(draw_lengths, out=indptr[1:])
+        nnz = int(indptr[-1])
+        bounds = np.concatenate(([0], np.cumsum(lengths)))[cuts].tolist()
+        widest = max(b - a for a, b in zip(bounds[:-1], bounds[1:]))
+        # indices + data, src + dst, and one block's gather buffers
+        OP_COUNTERS.add_alloc(4 * nnz + 2 * widest)
+        src = concat_ranges(starts, lengths)
+        dst = concat_ranges(indptr[order], lengths)
+        indices = np.empty(nnz, dtype=np.int64)
+        data = np.empty(nnz, dtype=np.float64)
+        index_buf = np.empty(widest, dtype=np.int64)
+        value_buf = np.empty(widest, dtype=np.float64)
+        for features, a, b in zip(sources, bounds[:-1], bounds[1:]):
+            # src is in range by construction; mode="clip" lets take write
+            # into the buffer directly instead of through a hidden copy
+            np.take(features.indices, src[a:b], out=index_buf[:b - a], mode="clip")
+            np.take(features.data, src[a:b], out=value_buf[:b - a], mode="clip")
+            indices[dst[a:b]] = index_buf[:b - a]
+            data[dst[a:b]] = value_buf[:b - a]
+        return CSRMatrix(indptr, indices, data, self.local_dim), labels
 
     def clear(self) -> None:
         """Drop all worksets (worker failure simulation)."""

@@ -55,7 +55,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from repro.engine.trace import RetryEvent
 from repro.errors import (
@@ -740,6 +740,25 @@ class LocalRuntime(Runtime):
                 silent=exchange.silent_workers(),
             )
         return exchange
+
+    def busiest_process_seconds(self, replies: Mapping[int, WorkerReply]) -> float:
+        """Summed handler seconds of the busiest worker process.
+
+        Co-hosted workers run their handlers one after another, so a
+        process is busy for the sum of its workers' handler times.  That
+        sum, maxed over processes, is an exchange's compute share; the
+        slowest single handler would book a neighbour's compute as
+        transport whenever K > P.  ``replies`` is an
+        :attr:`Exchange.replies` map, or several merged across recovery
+        re-issues; workers without a reply count zero.
+        """
+        return max(
+            (
+                sum(replies[w].seconds for w in hosted if w in replies)
+                for hosted in self._workers_of_proc
+            ),
+            default=0.0,
+        )
 
     def measure(self, fn: Callable[[], T]) -> Tuple[T, float]:
         """Run ``fn`` and return ``(result, wall seconds)``.

@@ -1,10 +1,15 @@
 """Unit tests for the two-phase sampling index."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PartitionError
-from repro.partition import TwoPhaseIndex
+from repro.partition import Draws, TwoPhaseIndex
+from repro.utils.rng import iteration_seed, rng_from_seed
 
 
 class TestTwoPhaseIndex:
@@ -71,3 +76,113 @@ class TestTwoPhaseIndex:
     def test_batch_size_positive(self, index):
         with pytest.raises(ValueError):
             index.sample(0, 0)
+
+    @given(
+        sizes=st.lists(st.integers(1, 5000), min_size=1, max_size=40),
+        seed=st.integers(0, 2**63 - 1),
+        iteration=st.integers(0, 10_000),
+        batch=st.integers(1, 3000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sample_matches_the_per_draw_reference(self, sizes, seed, iteration, batch):
+        """Array-backed draws equal the old per-draw tuples from
+        ``Generator.choice`` + ``Generator.integers``, bit for bit."""
+        layout = dict(enumerate(sizes))
+        rng = rng_from_seed(iteration_seed(seed, iteration))
+        sizes = np.asarray(sizes)
+        block_pos = rng.choice(sizes.size, size=batch, p=sizes / sizes.sum())
+        offsets = rng.integers(0, sizes[block_pos])
+        expected = [(int(b), int(o)) for b, o in zip(block_pos, offsets)]
+        draws = TwoPhaseIndex(layout, base_seed=seed).sample(iteration, batch)
+        assert list(draws) == expected
+
+    def test_to_global_rows_accepts_draws_and_pairs(self, index):
+        draws = index.sample(2, 40)
+        expected = [index.to_global_rows([pair])[0] for pair in draws]
+        assert index.to_global_rows(draws).tolist() == expected
+        assert index.to_global_rows(list(draws)).tolist() == expected
+        assert index.to_global_rows([]).tolist() == []
+
+    def test_to_global_rows_rejects_negative_offsets(self, index):
+        with pytest.raises(PartitionError, match="offset -1"):
+            index.to_global_rows([(0, 0), (1, -1)])
+
+
+class TestDraws:
+    def test_len_and_iteration_yield_python_int_pairs(self):
+        draws = Draws([3, 1, 3], [0, 2, 0])
+        assert len(draws) == 3
+        pairs = list(draws)
+        assert pairs == [(3, 0), (1, 2), (3, 0)]
+        assert all(type(v) is int for pair in pairs for v in pair)
+
+    def test_equality(self):
+        draws = Draws([3, 1], [0, 2])
+        assert draws == Draws(np.array([3, 1]), np.array([0, 2]))
+        assert draws != Draws([3, 1], [0, 1])
+        assert draws != Draws([1, 3], [0, 2])
+        assert draws != Draws([3], [0])
+        assert draws != [(3, 0), (1, 2)]  # only a Draws equals a Draws
+
+    def test_arrays_are_read_only_int64_copies(self):
+        block_ids = np.array([0, 1], dtype=np.int32)
+        draws = Draws(block_ids, [5, 6])
+        assert draws.block_ids.dtype == np.int64
+        assert draws.offsets.dtype == np.int64
+        with pytest.raises(ValueError):
+            draws.block_ids[0] = 9
+        with pytest.raises(ValueError):
+            draws.offsets[0] = 9
+        block_ids[0] = 7  # the caller's array stays its own
+        assert draws.block_ids.tolist() == [0, 1]
+
+    def test_fields_cannot_be_rebound(self):
+        draws = Draws([0], [0])
+        with pytest.raises(FrozenInstanceError):
+            draws.offsets = np.array([1])
+
+    def test_sampled_draws_are_read_only(self):
+        draws = TwoPhaseIndex({0: 4, 1: 4}, base_seed=1).sample(0, 8)
+        assert isinstance(draws, Draws)
+        assert not draws.block_ids.flags.writeable
+        assert not draws.offsets.flags.writeable
+
+    def test_of_empty_list(self):
+        draws = Draws.of([])
+        assert len(draws) == 0
+        assert list(draws) == []
+        assert draws.block_ids.dtype == np.int64
+
+    def test_of_pairs(self):
+        draws = Draws.of([(2, 1), (0, 3), (np.int64(2), np.int32(0))])
+        assert draws == Draws([2, 0, 2], [1, 3, 0])
+        assert Draws.of(iter([(1, 1)])) == Draws([1], [1])
+
+    def test_of_returns_draws_unchanged(self):
+        draws = Draws([1], [2])
+        assert Draws.of(draws) is draws
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [(0, 1), (2,)],  # ragged
+            [(0, 1, 2)],  # 3-tuple
+            [(0,)],
+            [0, 1],  # not pairs at all
+            [(0, 1.5)],  # non-integer offset
+            [(0.0, 1.0)],
+            [("a", 1)],
+            [(0, 2**70)],  # beyond int64
+        ],
+    )
+    def test_malformed_pairs_raise_partition_error(self, bad):
+        with pytest.raises(PartitionError):
+            Draws.of(bad)
+
+    def test_mismatched_columns_raise_partition_error(self):
+        with pytest.raises(PartitionError, match="block ids"):
+            Draws([0, 1], [0])
+        with pytest.raises(PartitionError, match="1-D"):
+            Draws([[0, 1]], [[0, 1]])
+        with pytest.raises(PartitionError, match="integers"):
+            Draws([0.5], [1])

@@ -162,3 +162,38 @@ def test_csr_to_dense_round_trip_counts_once_per_call():
     assert np.array_equal(m.to_dense(), dense)
     assert np.array_equal(m.to_dense(), dense)
     assert OP_COUNTERS.snapshot()["densify_events"] == 2
+
+
+# ----------------------------------------------------------------------
+# pinned allocation counts of the batch gathers
+# ----------------------------------------------------------------------
+def test_take_rows_alloc_count_is_pinned():
+    matrix = CSRMatrix.from_dense(
+        np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [3.0, 4.0, 5.0]])
+    )
+    OP_COUNTERS.enable()
+    taken = matrix.take_rows([2, 0, 2, 1])
+    assert taken.nnz == 8
+    # indices + data + the source index
+    assert OP_COUNTERS.alloc_elements == 3 * 8
+
+
+def test_assemble_batch_alloc_count_is_pinned():
+    from repro.partition import Workset, WorksetStore
+
+    store = WorksetStore(worker_id=0, local_dim=3)
+    store.put(Workset(0, CSRMatrix.from_dense(
+        np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [3.0, 4.0, 5.0]])
+    ), np.ones(3)))
+    store.put(Workset(1, CSRMatrix.from_dense(
+        np.array([[0.0, 6.0, 0.0], [7.0, 0.0, 8.0]])
+    ), -np.ones(2)))
+    OP_COUNTERS.enable()
+    features, _ = store.assemble_batch([(0, 2), (1, 1), (0, 0), (1, 0), (0, 1)])
+    # block 0 gives 3 + 2 + 0 entries, block 1 gives 2 + 1
+    assert features.nnz == 8
+    # indices + data, the src and dst indexes (4 x nnz), and the two
+    # gather buffers sized to the widest block (2 x 5).  The three-copy
+    # assembly (take_rows per block, vstack, take_rows back to draw
+    # order) allocated 6 x nnz = 48.
+    assert OP_COUNTERS.alloc_elements == 4 * 8 + 2 * 5
