@@ -62,7 +62,7 @@ class CSRMatrix:
             raise ValueError(
                 "indptr[-1]={} does not match nnz={}".format(indptr[-1], indices.size)
             )
-        if np.any(np.diff(indptr) < 0):
+        if (indptr[1:] < indptr[:-1]).any():
             raise ValueError("indptr must be non-decreasing")
         if n_cols < 0:
             raise ValueError("n_cols must be >= 0")

@@ -86,6 +86,15 @@ class WorksetStore:
             )
         return self._worksets[block_id]
 
+    def resident(self, block_id: int) -> bool:
+        """Whether :meth:`get` serves ``block_id`` without a read.
+
+        Always true in memory; the shard-backed store answers from its
+        block cache, which lets :meth:`assemble_batch` fetch cache hits
+        before misses.
+        """
+        return True
+
     def block_ids(self) -> list:
         """Sorted block ids present in the store."""
         return sorted(self._worksets)
@@ -132,9 +141,9 @@ class WorksetStore:
         Returns a local-dimension CSR batch plus the labels, in draw
         order.  Every worker calling this with the same draws gets
         row-aligned shards of the same logical mini-batch — the point of
-        the two-phase index.  Each block is fetched once, in ascending
-        id order, and each sampled entry is copied once, straight to its
-        row's place in draw order.
+        the two-phase index.  Each block is fetched once, resident blocks
+        first (see :meth:`resident`), and each sampled entry is copied
+        once, straight to its row's place in draw order.
         """
         draws = Draws.of(draws)
         n = len(draws)
@@ -145,25 +154,42 @@ class WorksetStore:
         order = np.argsort(draws.block_ids, kind="stable")
         blocks = draws.block_ids[order]
         offsets = draws.offsets[order]
-        cuts = np.concatenate(([0], np.flatnonzero(np.diff(blocks)) + 1, [n])).tolist()
-        starts = np.empty(n, dtype=np.int64)  # source row starts, sorted order
-        lengths = np.empty(n, dtype=np.int64)  # row nnz, sorted order
-        labels = np.empty(n, dtype=np.float64)
-        sources = []
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            workset = self.get(int(blocks[lo]))
-            offs = offsets[lo:hi]
-            if offs.min() < 0 or offs.max() >= workset.n_rows:
-                raise PartitionError(
-                    "offset out of range for block {} ({} rows)".format(
-                        workset.block_id, workset.n_rows
-                    )
+        cuts = np.concatenate(([0], np.flatnonzero(np.diff(blocks)) + 1, [n]))
+        heads = blocks[cuts[:-1]].tolist()
+        cuts = cuts.tolist()
+        # Fetch order only matters to a block cache.  A batch visits nearly
+        # every block, a cyclic scan that an LRU cache smaller than the
+        # shard never hits unless the blocks still resident from the last
+        # batch are fetched before the misses evict them.
+        fetched = {b: self.get(b) for b in heads if self.resident(b)}
+        fetched.update((b, self.get(b)) for b in heads if b not in fetched)
+        worksets = [fetched[b] for b in heads]
+        n_rows = np.array([workset.n_rows for workset in worksets])
+        low = np.minimum.reduceat(offsets, cuts[:-1])
+        high = np.maximum.reduceat(offsets, cuts[:-1])
+        bad = np.flatnonzero((low < 0) | (high >= n_rows))
+        if bad.size:
+            workset = worksets[bad[0]]
+            raise PartitionError(
+                "offset out of range for block {} ({} rows)".format(
+                    workset.block_id, workset.n_rows
                 )
+            )
+        # Source row starts and ends, and labels, in sorted order.  The
+        # offsets are in range, so mode="clip" clips nothing; it lets take
+        # write straight into out instead of through a hidden copy.
+        starts = np.empty(n, dtype=np.int64)
+        ends = np.empty(n, dtype=np.int64)
+        sorted_labels = np.empty(n, dtype=np.float64)
+        after = offsets + 1
+        for workset, lo, hi in zip(worksets, cuts[:-1], cuts[1:]):
             row_ptr = workset.features.indptr
-            starts[lo:hi] = row_ptr[offs]
-            lengths[lo:hi] = row_ptr[offs + 1] - starts[lo:hi]
-            labels[order[lo:hi]] = workset.labels[offs]
-            sources.append(workset.features)
+            row_ptr.take(offsets[lo:hi], out=starts[lo:hi], mode="clip")
+            row_ptr.take(after[lo:hi], out=ends[lo:hi], mode="clip")
+            workset.labels.take(offsets[lo:hi], out=sorted_labels[lo:hi], mode="clip")
+        lengths = ends - starts
+        labels = np.empty(n, dtype=np.float64)
+        labels[order] = sorted_labels
         # Output rows are sized in draw order; src/dst map every entry,
         # in sorted order, from its block to its place in the batch.
         draw_lengths = np.empty(n, dtype=np.int64)
@@ -181,11 +207,11 @@ class WorksetStore:
         data = np.empty(nnz, dtype=np.float64)
         index_buf = np.empty(widest, dtype=np.int64)
         value_buf = np.empty(widest, dtype=np.float64)
-        for features, a, b in zip(sources, bounds[:-1], bounds[1:]):
-            # src is in range by construction; mode="clip" lets take write
-            # into the buffer directly instead of through a hidden copy
-            np.take(features.indices, src[a:b], out=index_buf[:b - a], mode="clip")
-            np.take(features.data, src[a:b], out=value_buf[:b - a], mode="clip")
+        for workset, a, b in zip(worksets, bounds[:-1], bounds[1:]):
+            # src is in range by construction
+            features = workset.features
+            features.indices.take(src[a:b], out=index_buf[:b - a], mode="clip")
+            features.data.take(src[a:b], out=value_buf[:b - a], mode="clip")
             indices[dst[a:b]] = index_buf[:b - a]
             data[dst[a:b]] = value_buf[:b - a]
         return CSRMatrix(indptr, indices, data, self.local_dim), labels

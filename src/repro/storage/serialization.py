@@ -269,6 +269,13 @@ def decode_payload(data: bytes):
 
     Dense fp32 payloads decode back to float64 values that went through
     float32 rounding — the same semantics the simulated wire applies.
+
+    CSR ``indptr``/``indices`` widen once, straight to the int64 of
+    :class:`~repro.linalg.CSRMatrix`.  Every other array that is already
+    in its in-memory dtype (fp64 values, data and labels; int32 sparse
+    indices; int64 id lists) is an ``np.frombuffer`` view of ``data`` —
+    read-only when ``data`` is (``bytes``, an mmap view), and keeping
+    the buffer alive.  A caller that must write into one copies it.
     """
     if len(data) >= 8 + OBJECT_OVERHEAD_BYTES and data[8:12] == _HEADER_MAGIC:
         (block_id,) = struct.unpack_from("<q", data, 0)
@@ -282,41 +289,43 @@ def decode_payload(data: bytes):
         raise ValueError("bad payload magic {!r}".format(magic))
     if version != _HEADER_VERSION:
         raise ValueError("unsupported codec version {}".format(version))
-    body = data[OBJECT_OVERHEAD_BYTES:]
+
+    def read(dtype, count, offset, out_dtype):
+        # ``offset`` counts from the end of the header
+        array = np.frombuffer(
+            data, dtype=dtype, count=count, offset=OBJECT_OVERHEAD_BYTES + offset
+        )
+        if array.dtype != out_dtype:
+            return array.astype(out_dtype)
+        return array
+
     if type_code == _TYPE_DENSE:
         if flags & _FLAG_FP32:
-            values = np.frombuffer(body, dtype="<f4", count=a).astype(np.float64)
-            return DenseVectorPayload(values=values, precision="fp32")
-        values = np.frombuffer(body, dtype="<f8", count=a).astype(np.float64)
-        return DenseVectorPayload(values=values, precision="fp64")
-    if type_code == _TYPE_SPARSE:
-        indices = np.frombuffer(body, dtype="<i4", count=a).astype(np.int32)
-        values = np.frombuffer(body, dtype="<f8", offset=a * 4, count=a).astype(
-            np.float64
+            return DenseVectorPayload(
+                values=read("<f4", a, 0, np.float64), precision="fp32"
+            )
+        return DenseVectorPayload(
+            values=read("<f8", a, 0, np.float64), precision="fp64"
         )
-        return SparseVectorPayload(indices=indices, values=values)
+    if type_code == _TYPE_SPARSE:
+        return SparseVectorPayload(
+            indices=read("<i4", a, 0, np.int32),
+            values=read("<f8", a, a * 4, np.float64),
+        )
     if type_code == _TYPE_CSR:
         n_rows, nnz = a, b
-        offset = 0
-        indptr = np.frombuffer(body, dtype="<i4", count=n_rows + 1).astype(np.int32)
-        offset += (n_rows + 1) * 4
-        indices = np.frombuffer(body, dtype="<i4", offset=offset, count=nnz).astype(
-            np.int32
-        )
+        indptr = read("<i4", n_rows + 1, 0, np.int64)
+        offset = (n_rows + 1) * 4
+        indices = read("<i4", nnz, offset, np.int64)
         offset += nnz * 4
-        data_vals = np.frombuffer(body, dtype="<f8", offset=offset, count=nnz).astype(
-            np.float64
-        )
+        data_vals = read("<f8", nnz, offset, np.float64)
         offset += nnz * 8
         labels = None
         if flags & _FLAG_LABELS:
-            labels = np.frombuffer(
-                body, dtype="<f8", offset=offset, count=n_rows
-            ).astype(np.float64)
+            labels = read("<f8", n_rows, offset, np.float64)
         return CSRBlockPayload(
             indptr=indptr, indices=indices, data=data_vals, labels=labels
         )
     if type_code == _TYPE_INTS:
-        values = np.frombuffer(body, dtype="<i8", count=a).astype(np.int64)
-        return IntVectorPayload(values=values)
+        return IntVectorPayload(values=read("<i8", a, 0, np.int64))
     raise ValueError("unknown payload type code {}".format(type_code))

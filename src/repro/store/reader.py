@@ -6,7 +6,8 @@ of the mapping, decoded straight off the page cache with
 ``np.frombuffer`` views — no ``read()`` into intermediate buffers, no
 densification (lint rule R019 enforces both for this package).  The
 only copies are the codec's documented index widenings (i4 on disk →
-int64 in-memory CSR), paid once per cache miss.
+int64 in-memory CSR), paid once per cache miss; CSR data and labels
+stay read-only views of the mapping.
 
 :class:`ShardWorksetStore` is the out-of-core drop-in for
 :class:`~repro.partition.workset.WorksetStore`: it answers every
@@ -27,7 +28,7 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from repro.errors import DataError, PartitionError
+from repro.errors import DataError, DimensionMismatchError, PartitionError
 from repro.linalg import CSRMatrix
 from repro.partition.workset import Workset, WorksetStore
 from repro.store.cache import LRUBlockCache, STORE_LEDGER, StoreLedger
@@ -117,7 +118,7 @@ class ShardReader:
         return self._view[start:start + self.index.length(block_id)]
 
     def csr_block(self, block_id: int) -> CSRBlockPayload:
-        """Decode one shard record (shard files only)."""
+        """Decode one shard record (shard files only); data views the mapping."""
         payload = decode_payload(self.record(block_id))
         if not isinstance(payload, CSRBlockPayload):
             raise DataError(
@@ -126,7 +127,7 @@ class ShardReader:
         return payload
 
     def labels(self, block_id: int) -> np.ndarray:
-        """Decode one sidecar record (sidecar files only)."""
+        """Decode one sidecar record (sidecar files only), a view of the mapping."""
         payload = decode_payload(self.record(block_id))
         if not isinstance(payload, DenseVectorPayload):
             raise DataError(
@@ -135,15 +136,39 @@ class ShardReader:
         return payload.values
 
     def close(self) -> None:
+        """Drop the file views; safe while decoded arrays are still held.
+
+        Decoded records are views of the mapping.  While any is alive the
+        mapping cannot be closed, so it is only released here and unmaps
+        when the last view is dropped.
+        """
         if self._view is not None:
             self._view.release()
             self._view = None
         if self._mm is not None:
-            self._mm.close()
+            try:
+                self._mm.close()
+            except BufferError:
+                pass  # live views pin it; it unmaps when they are freed
             self._mm = None
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+
+
+def _check_rows(index: ShardIndex, block_id: int, n_rows: int) -> None:
+    if n_rows != index.n_rows(block_id):
+        raise DataError(
+            "record has {} rows, footer says {}".format(
+                n_rows, index.n_rows(block_id)
+            )
+        )
+
+
+def _corrupt(index: ShardIndex, block_id: int, exc: Exception) -> DataError:
+    return DataError(
+        "corrupt record for block {} in {}: {}".format(block_id, index.path, exc)
+    )
 
 
 class ShardWorksetStore(WorksetStore):
@@ -193,6 +218,10 @@ class ShardWorksetStore(WorksetStore):
         if self._sidecar_reader is None:
             self._sidecar_reader = ShardReader(self._sidecar_index)
 
+    def resident(self, block_id: int) -> bool:
+        """Whether ``block_id`` is decoded in the cache (a ``get`` hit)."""
+        return block_id in self._cache
+
     def get(self, block_id: int) -> Workset:
         if not 0 <= block_id < self._shard_index.n_blocks:
             raise PartitionError(
@@ -204,15 +233,23 @@ class ShardWorksetStore(WorksetStore):
         if cached is not None:
             return cached
         self._open_readers()
-        payload = self._reader.csr_block(block_id)
-        labels = self._sidecar_reader.labels(block_id)
-        workset = Workset(
-            block_id,
-            CSRMatrix(
+        # A record that fails to decode or validate is never cached; each
+        # record is checked against its own file's footer, so the error
+        # names the file that disagrees.
+        try:
+            payload = self._reader.csr_block(block_id)
+            _check_rows(self._shard_index, block_id, payload.n_rows)
+            features = CSRMatrix(
                 payload.indptr, payload.indices, payload.data, self.local_dim
-            ),
-            labels,
-        )
+            )
+        except (ValueError, DataError, DimensionMismatchError) as exc:
+            raise _corrupt(self._shard_index, block_id, exc) from exc
+        try:
+            labels = self._sidecar_reader.labels(block_id)
+            _check_rows(self._sidecar_index, block_id, labels.size)
+            workset = Workset(block_id, features, labels)
+        except (ValueError, DataError, PartitionError) as exc:
+            raise _corrupt(self._sidecar_index, block_id, exc) from exc
         fetched = self._shard_index.length(block_id) + self._sidecar_index.length(
             block_id
         )

@@ -8,6 +8,9 @@ that cross a real pipe are exactly the bytes the cost model predicts.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.net.message import MessageKind
 from repro.storage.serialization import (
@@ -288,3 +291,68 @@ class TestDegenerateShapes:
         out = decode_payload(memoryview(encoded))
         np.testing.assert_array_equal(out.indptr, payload.indptr.astype(np.int64))
         np.testing.assert_array_equal(out.data, payload.data)
+
+
+# ----------------------------------------------------------------------
+# zero-copy decode: the shard store maps records and decodes in place
+# ----------------------------------------------------------------------
+def _shares(array, buffer) -> bool:
+    return np.shares_memory(array, np.frombuffer(buffer, dtype=np.uint8))
+
+
+class TestZeroCopyDecode:
+    def test_csr_views_the_buffer_read_only(self):
+        encoded = encode_payload(make_csr(n_rows=5, nnz=12, with_labels=True))
+        out = decode_payload(encoded)
+        for array in (out.data, out.labels):
+            assert _shares(array, encoded)
+            assert not array.flags.writeable
+        # indices widen once, straight to the CSRMatrix dtype
+        for array in (out.indptr, out.indices):
+            assert array.dtype == np.int64
+            assert not _shares(array, encoded)
+
+    def test_dense_fp64_views_the_buffer_read_only(self):
+        encoded = encode_payload(DenseVectorPayload(rng().standard_normal(9)))
+        out = decode_payload(encoded)
+        assert _shares(out.values, encoded)
+        assert not out.values.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_rows=st.integers(0, 6),
+        nnz=st.integers(0, 20),
+        with_labels=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+        dense=arrays(np.float64, st.integers(0, 20)),
+    )
+    def test_round_trip_is_bit_exact(self, n_rows, nnz, with_labels, seed, dense):
+        r = np.random.default_rng(seed)
+        nnz = nnz if n_rows else 0
+        splits = np.sort(r.integers(0, nnz + 1, size=max(n_rows - 1, 0)))
+        indptr = np.concatenate([[0], splits, [nnz]]) if n_rows else np.zeros(1)
+
+        def any_floats(size):  # every bit pattern, NaN payloads included
+            return r.integers(-2**63, 2**63 - 1, size=size, dtype=np.int64).view(
+                np.float64
+            )
+
+        csr = CSRBlockPayload(
+            indptr=indptr.astype(np.int32),
+            indices=r.integers(0, 2**31 - 1, size=nnz).astype(np.int32),
+            data=any_floats(nnz),
+            labels=any_floats(n_rows) if with_labels else None,
+        )
+        for payload in (csr, DenseVectorPayload(dense)):
+            out = decode_payload(encode_payload(payload))
+            for name in ("indptr", "indices", "data", "labels", "values"):
+                a, b = getattr(payload, name, None), getattr(out, name, None)
+                if a is None:
+                    assert b is None
+                    continue
+                assert a.shape == b.shape
+                if a.dtype.kind == "f":
+                    assert a.tobytes() == b.tobytes()
+                else:  # int32 on the wire, widened to int64 on decode
+                    assert b.dtype == np.int64
+                    np.testing.assert_array_equal(a.astype(np.int64), b)

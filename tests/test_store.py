@@ -11,6 +11,7 @@ the byte ledger.
 from __future__ import annotations
 
 import pickle
+import shutil
 
 import numpy as np
 import pytest
@@ -23,9 +24,14 @@ from repro.models import make_model
 from repro.optim import make_optimizer
 from repro.partition.column import make_assignment
 from repro.partition.dispatch import dispatch_block_based
+from repro.partition.workset import WorksetStore
 from repro.sim.cluster import SimulatedCluster
 from repro.sim.presets import CLUSTER1
-from repro.storage.serialization import csr_matrix_bytes, workset_bytes
+from repro.storage.serialization import (
+    OBJECT_OVERHEAD_BYTES,
+    csr_matrix_bytes,
+    workset_bytes,
+)
 from repro.store import (
     STORE_LEDGER,
     ColumnShardStore,
@@ -251,6 +257,175 @@ class TestReaders:
             ShardWorksetStore(
                 0, 10, store.shard_indexes[0], store.shard_indexes[0]
             )
+
+
+    def test_close_with_live_views(self, store):
+        ws = store.worker_store(0)
+        held = ws.get(0)
+        expected = (
+            held.features.indptr.copy(), held.features.data.copy(),
+            held.labels.copy(),
+        )
+        ws.clear()  # the mapping outlives the store's handles
+        np.testing.assert_array_equal(held.features.indptr, expected[0])
+        np.testing.assert_array_equal(held.features.data, expected[1])
+        np.testing.assert_array_equal(held.labels, expected[2])
+        again = ws.get(0)  # reopens the files
+        assert again is not held
+        np.testing.assert_array_equal(again.features.data, expected[1])
+        np.testing.assert_array_equal(again.labels, expected[2])
+        ws.clear()
+
+    def test_reader_close_with_live_payload(self, store):
+        reader = ShardReader(store.shard_indexes[0])
+        payload = reader.csr_block(0)
+        data = payload.data.copy()
+        reader.close()
+        np.testing.assert_array_equal(payload.data, data)
+
+    def test_cached_arrays_are_read_only_views(self, store):
+        ws = store.worker_store(0)
+        got = ws.get(0)
+        assert not got.features.data.flags.writeable
+        assert not got.labels.flags.writeable
+        assert got.features.indptr.dtype == np.int64
+        ws.clear()
+
+
+# ----------------------------------------------------------------------
+# corrupt records: typed errors, nothing cached
+# ----------------------------------------------------------------------
+class TestCorruptRecords:
+    BLOCK_ID = 1
+
+    def _corrupt(self, store, tmp_path, patch):
+        """Copy the store, let ``patch`` rewrite one shard record."""
+        copy = tmp_path / "copy"
+        shutil.copytree(store.store_dir, copy)
+        index = store.shard_indexes[0]
+        path = copy / shard_filename(0)
+        raw = bytearray(path.read_bytes())
+        start = index.offset(self.BLOCK_ID)
+        n_rows = index.n_rows(self.BLOCK_ID)
+        body = start + OBJECT_OVERHEAD_BYTES
+        indptr = np.frombuffer(raw, dtype="<i4", count=n_rows + 1, offset=body)
+        indices = np.frombuffer(
+            raw, dtype="<i4", count=index.nnz(self.BLOCK_ID),
+            offset=body + 4 * (n_rows + 1),
+        )
+        patch(raw, start, indptr.copy(), body, indices.size)
+        path.write_bytes(bytes(raw))
+        return ColumnShardStore.open(copy).worker_store(0)
+
+    def _assert_rejected(self, ws, match):
+        with pytest.raises(DataError, match=match) as info:
+            ws.get(self.BLOCK_ID)
+        message = str(info.value)
+        assert "block {}".format(self.BLOCK_ID) in message
+        assert shard_filename(0) in message
+        assert not ws.resident(self.BLOCK_ID)
+        assert ws.cache_stats()["resident_bytes"] == 0
+        assert ws.cache_stats()["bytes_read"] == 0
+        ws.get(0)  # the intact records still read
+        ws.clear()
+
+    def test_bad_record_magic(self, store, tmp_path):
+        def patch(raw, start, indptr, body, nnz):
+            raw[start:start + 4] = b"XXXX"
+
+        self._assert_rejected(self._corrupt(store, tmp_path, patch), "magic")
+
+    def test_decreasing_indptr(self, store, tmp_path):
+        def patch(raw, start, indptr, body, nnz):
+            assert indptr.size >= 3
+            bumped = np.array([indptr[2] + 1], dtype="<i4").tobytes()
+            raw[body + 4:body + 8] = bumped
+
+        self._assert_rejected(
+            self._corrupt(store, tmp_path, patch), "non-decreasing"
+        )
+
+    def test_row_count_disagrees_with_footer(self, store, tmp_path):
+        def patch(raw, start, indptr, body, nnz):
+            # the header's n_rows field follows magic, version, type, flags
+            fewer = np.array([indptr.size - 2], dtype="<u8").tobytes()
+            raw[start + 8:start + 16] = fewer
+
+        self._assert_rejected(self._corrupt(store, tmp_path, patch), "rows")
+
+    def test_column_index_out_of_range(self, store, tmp_path):
+        local_dim = store.assignment().local_dim(0)
+
+        def patch(raw, start, indptr, body, nnz):
+            assert nnz > 0
+            at = body + 4 * indptr.size
+            raw[at:at + 4] = np.array([local_dim + 7], dtype="<i4").tobytes()
+
+        self._assert_rejected(
+            self._corrupt(store, tmp_path, patch), "column indices"
+        )
+
+
+# ----------------------------------------------------------------------
+# batch assembly fetches cache-resident blocks first
+# ----------------------------------------------------------------------
+def _scan_draws(sizes, seed):
+    """Draws that touch every block, in a shuffled order."""
+    r = np.random.default_rng(seed)
+    pairs = [
+        (b, int(o)) for b, n in sizes.items()
+        for o in r.integers(0, n, size=3)
+    ]
+    r.shuffle(pairs)
+    return pairs
+
+
+class TestResidentFirst:
+    def test_second_batch_hits_every_resident_block(self, data, store):
+        shard = store.shard_indexes[0]
+        total = sum(
+            workset_bytes(shard.n_rows(b), shard.nnz(b))
+            for b in range(shard.n_blocks)
+        )
+        ws = store.worker_store(0, cache_budget_bytes=total // 3)
+        assignment = make_assignment("round_robin", data.n_features, WORKERS)
+        mem, _, _ = dispatch_block_based(
+            data, assignment, cluster(), block_size=BLOCK
+        )
+        sizes = store.block_sizes()
+        for seed in (0, 1):
+            draws = _scan_draws(sizes, seed)
+            resident = [b for b in ws.block_ids() if ws.resident(b)]
+            hits_before = ws.cache_stats()["hits"]
+            features, labels = ws.assemble_batch(draws)
+            if seed:  # the first batch's survivors are all hits
+                assert 0 < len(resident) < len(sizes)
+                assert ws.cache_stats()["hits"] - hits_before == len(resident)
+            want_features, want_labels = mem[0].assemble_batch(draws)
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(
+                    getattr(features, name), getattr(want_features, name)
+                )
+            assert labels.tobytes() == want_labels.tobytes()
+        ws.clear()
+
+    def test_in_memory_store_visits_blocks_in_ascending_order(self, data):
+        assignment = make_assignment("round_robin", data.n_features, WORKERS)
+        mem, _, _ = dispatch_block_based(
+            data, assignment, cluster(), block_size=BLOCK
+        )
+        visits = []
+
+        class Recording(WorksetStore):
+            def get(self, block_id):
+                visits.append(block_id)
+                return super().get(block_id)
+
+        store = Recording(0, mem[0].local_dim)
+        for b in reversed(mem[0].block_ids()):
+            store.put(mem[0].get(b))
+        store.assemble_batch(_scan_draws(mem[0].block_sizes(), seed=2))
+        assert visits == sorted(mem[0].block_ids())
 
 
 class TestLRUBlockCache:
