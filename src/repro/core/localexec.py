@@ -20,6 +20,11 @@ lossless and a fixed-seed run reproduces the simulator's trajectory
 exactly; ``fp32`` rounds through float32 on encode, matching the
 simulated wire's semantics value for value.
 
+A round awaits one exchange, ``compute``.  The ``update`` broadcast is
+posted (``run_all(..., wait=False)``): the workers apply it while the
+master finishes the round, and the next exchange drains its acks, from
+which the round's ``update_model`` phase is booked.
+
 Fault tolerance mirrors the simulator's pipeline on real processes
 (see ``docs/faults.md``):
 
@@ -52,7 +57,7 @@ unchecked CHECKPOINT chatter, like the sim).
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -68,7 +73,7 @@ from repro.net.protocol import ProtocolChecker, TrafficEnvelope
 from repro.partition.indexing import TwoPhaseIndex
 from repro.runtime.chaos import LocalChaos
 from repro.runtime.deadline import TimeoutPolicy
-from repro.runtime.local import LocalRuntime, WorkerReply
+from repro.runtime.local import Exchange, LocalRuntime, WorkerReply
 from repro.storage.serialization import (
     OBJECT_OVERHEAD_BYTES,
     DenseVectorPayload,
@@ -184,6 +189,19 @@ class ColumnWorkerProgram:
         raise ValueError("unknown op {!r}".format(op))
 
 
+@dataclass
+class _PostedUpdate:
+    """A round whose posted ``update`` has not been booked yet."""
+
+    t: int
+    round_start: float
+    #: where the round's update_model span starts on the trace
+    offset: float
+    phase_seconds: Dict[str, float]
+    worker_seconds: Dict[str, Dict[int, float]]
+    acks: Dict[int, WorkerReply] = field(default_factory=dict)
+
+
 def _build_program(driver, worker_id: int) -> ColumnWorkerProgram:
     """A (fresh) program for one logical worker, for start or respawn."""
     return ColumnWorkerProgram(
@@ -265,6 +283,33 @@ def run_local_columnsgd(
     stale_allowed = (
         config.sync_policy != "backup" and config.sync_on_exhausted == "stale"
     )
+    posted: Optional[_PostedUpdate] = None
+
+    def settle(ex: Exchange) -> Dict[int, WorkerReply]:
+        """Keep the update acks an exchange drained for book_update."""
+        if posted is not None:
+            posted.acks.update(ex.acks)
+        return ex.acks
+
+    def book_update() -> None:
+        """Book the posted update to the round that posted it.
+
+        Its handler seconds arrive on the acks of whichever exchanges
+        next reached the worker processes (the next round's compute, a
+        checkpoint or restore, or an evaluation's parameter sync).
+        """
+        nonlocal posted
+        if posted is None:
+            return
+        busy = runtime.busiest_process_seconds(posted.acks)
+        posted.phase_seconds["update_model"] = busy
+        posted.worker_seconds["update_model"].update(
+            {w: r.seconds for w, r in posted.acks.items()}
+        )
+        _trace_phases(
+            trace, posted.t, posted.round_start, {"update_model": busy}, posted.offset
+        )
+        posted = None
 
     # ------------------------------------------------------------------
     # fault pipeline: checkpoint, detect, respawn, restore
@@ -272,6 +317,7 @@ def run_local_columnsgd(
     def write_checkpoint(t: int) -> float:
         """Pull every live worker's snapshot blob and spill it to disk."""
         ex = runtime.run_all("checkpoint", iteration=t, raise_on_fault=False)
+        settle(ex)
         for w, reply in ex.replies.items():
             runtime.network.send(
                 Message(
@@ -326,6 +372,7 @@ def run_local_columnsgd(
             ex = runtime.run_all(
                 "restore", payload=payload, workers=[w], iteration=t
             )
+            settle(ex)
             total += ex.seconds
             trace.add_recovery(
                 RecoveryEvent(
@@ -346,17 +393,19 @@ def run_local_columnsgd(
         args: Optional[dict] = None,
         payload: Optional[bytes] = None,
         per_worker_args: Optional[Dict[int, dict]] = None,
-    ) -> Tuple[Dict[int, WorkerReply], List[int], float, int]:
+    ) -> Tuple[Dict[int, WorkerReply], List[int], float, int, Dict[int, WorkerReply]]:
         """One exchange that survives worker-process death.
 
         Runs ``op`` across all workers; on detected death it respawns +
         restores (checkpoint -> zero-init) and re-issues the op to every
         worker still missing — deterministic ops make the re-run exact.
-        Returns ``(replies, silent_workers, seconds, retries)`` where
-        ``silent_workers`` are alive-but-timed-out workers left for the
-        sync policy to resolve.
+        Returns ``(replies, silent_workers, seconds, retries, acks)``
+        where ``silent_workers`` are alive-but-timed-out workers left for
+        the sync policy to resolve and ``acks`` the posted update replies
+        the exchange drained first.
         """
         replies: Dict[int, WorkerReply] = {}
+        acks: Dict[int, WorkerReply] = {}
         failures: Dict[int, object] = {}
         seconds = 0.0
         retries = 0
@@ -373,6 +422,7 @@ def run_local_columnsgd(
                 raise_on_fault=False,
             )
             replies.update(ex.replies)
+            acks.update(settle(ex))
             seconds += ex.seconds
             retries += ex.retries
             failures = dict(ex.failures)
@@ -387,12 +437,13 @@ def run_local_columnsgd(
                 dead=runtime.dead_workers(),
                 silent=sorted(failures),
             )
-        return replies, sorted(failures), seconds, retries
+        return replies, sorted(failures), seconds, retries, acks
 
     # ------------------------------------------------------------------
     # the measured round
     # ------------------------------------------------------------------
     def run_round(t: int) -> RoundOutcome:
+        nonlocal posted
         round_start = runtime.clock.now()
         extra_s = 0.0
         stall_args: Optional[Dict[int, dict]] = None
@@ -401,9 +452,10 @@ def run_local_columnsgd(
         if store is not None and t % policy.checkpoint_every == 0:
             extra_s += write_checkpoint(t)
 
-        stats_replies, silent, stats_s, retries = exchange_reliably(
+        stats_replies, silent, stats_s, retries, acks = exchange_reliably(
             t, "compute", args={"t": t}, per_worker_args=stall_args
         )
+        book_update()
         if silent and not stale_allowed:
             raise WorkerUnresponsiveError("compute", silent=silent)
         arrived = sorted(stats_replies)
@@ -430,36 +482,46 @@ def run_local_columnsgd(
             )
 
         reduced_payload, reduce_s = runtime.measure(reduce_step)
-        upd_replies, upd_silent, upd_s, upd_retries = exchange_reliably(
-            t, "update", args={"t": t, "shape": shape}, payload=reduced_payload
+        # Posted: the workers apply the update while the master finishes
+        # the round, and the next exchange drains the acks.  A process
+        # found dead here is recovered by that exchange (rollback to its
+        # snapshot, which the update could not have reached anyway).
+        update = runtime.run_all(
+            "update",
+            args={"t": t, "shape": shape},
+            payload=reduced_payload,
+            iteration=t,
+            raise_on_fault=False,
+            wait=False,
         )
-        # a silent updater already has the frame queued and applies it in
-        # pipe order before its next op — no numeric divergence, so the
-        # round proceeds (its RetryEvents are on the trace)
-        retries += upd_retries
         runtime.broadcast(MessageKind.STATISTICS_BCAST, len(reduced_payload))
 
         stats_busy = runtime.busiest_process_seconds(stats_replies)
-        upd_busy = runtime.busiest_process_seconds(upd_replies)
         phase_seconds = {
             "compute_statistics": stats_busy,
-            "gather": max(0.0, stats_s - stats_busy),
+            # the drained update ran ahead of compute in the same pipes
+            "gather": max(
+                0.0, stats_s - runtime.busiest_process_seconds(stats_replies, acks)
+            ),
             "reduce": reduce_s,
-            "broadcast": max(0.0, upd_s - upd_busy),
-            "update_model": upd_busy,
+            "broadcast": update.seconds,
+            "update_model": 0.0,  # booked from the acks by book_update
         }
-        _trace_round(trace, t, round_start, phase_seconds)
         worker_seconds = {
             "compute_statistics": {
                 w: r.seconds for w, r in stats_replies.items()
             },
-            "update_model": {w: r.seconds for w, r in upd_replies.items()},
+            "update_model": {},
         }
-        driver.last_phase_seconds = dict(phase_seconds)
-        driver.last_worker_seconds = {
-            name: dict(per_worker)
-            for name, per_worker in worker_seconds.items()
-        }
+        offset = _trace_phases(
+            trace,
+            t,
+            round_start,
+            {name: phase_seconds[name] for name in _PHASES if name != "update_model"},
+        )
+        posted = _PostedUpdate(t, round_start, offset, phase_seconds, worker_seconds)
+        driver.last_phase_seconds = phase_seconds
+        driver.last_worker_seconds = worker_seconds
         driver.last_killed = {
             e.worker for e in trace.round_recoveries(t) if e.worker is not None
         }
@@ -475,7 +537,7 @@ def run_local_columnsgd(
                 retries, 2 * retries, 0, 2 * retries * frame
             )
         return RoundOutcome(
-            duration=stats_s + reduce_s + upd_s + extra_s,
+            duration=stats_s + reduce_s + update.seconds + extra_s,
             phase_seconds=phase_seconds,
             worker_seconds=worker_seconds,
             chosen=set(arrived),
@@ -484,7 +546,8 @@ def run_local_columnsgd(
 
     def record(t: int, duration: float, bytes_sent: int, evaluate: bool) -> None:
         if evaluate:
-            sync_params(runtime, driver)
+            settle(sync_params(runtime, driver))
+            book_update()
         driver._record(
             result, t, duration, bytes_sent, evaluate, now=runtime.clock.now()
         )
@@ -501,7 +564,8 @@ def run_local_columnsgd(
         )
         if stopped_at is not None:
             result.notes = "early stop at iteration {}".format(stopped_at)
-        sync_params(runtime, driver)
+        settle(sync_params(runtime, driver))
+        book_update()
         driver.store_read_stats = collect_store_stats(runtime)
     finally:
         if owns_runtime:
@@ -512,17 +576,19 @@ def run_local_columnsgd(
     return result
 
 
-def sync_params(runtime: LocalRuntime, driver) -> None:
+def sync_params(runtime: LocalRuntime, driver) -> Exchange:
     """Pull model partitions out of the worker processes into the driver.
 
     The worker processes own the live parameters; evaluation and final
     assembly happen at the master, so this copies them back (an
-    out-of-band fetch, like the simulator's free evaluation).
+    out-of-band fetch, like the simulator's free evaluation).  Returns
+    the exchange, whose acks hold any posted update it drained first.
     """
     exchange = runtime.run_all("params")
     for reply in exchange.replies.values():
         for pid, params in reply.result["params"].items():
             driver._partitions[pid].params[...] = params
+    return exchange
 
 
 def collect_store_stats(runtime: LocalRuntime) -> Dict[int, Dict[int, Dict[str, int]]]:
@@ -538,16 +604,19 @@ def collect_store_stats(runtime: LocalRuntime) -> Dict[int, Dict[int, Dict[str, 
     }
 
 
-def _trace_round(
+def _trace_phases(
     trace: EngineTrace,
     t: int,
     round_start: float,
     phase_seconds: Dict[str, float],
-) -> None:
-    """Record measured phases as sequential :class:`PhaseEvent` spans."""
-    offset = 0.0
-    for name in _PHASES:
-        seconds = phase_seconds[name]
+    offset: float = 0.0,
+) -> float:
+    """Record measured phases as sequential :class:`PhaseEvent` spans.
+
+    The spans start ``offset`` seconds into round ``t``; returns the
+    offset where the last one ends.
+    """
+    for name, seconds in phase_seconds.items():
         trace.add(
             PhaseEvent(
                 round=t,
@@ -561,6 +630,7 @@ def _trace_round(
             )
         )
         offset += seconds
+    return offset
 
 
 def local_round_sizes(driver) -> List[int]:

@@ -14,7 +14,7 @@ loop per draw.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -128,6 +128,13 @@ class TwoPhaseIndex:
         self._cdf /= self._cdf[-1]
         self._cum_sizes = np.concatenate([[0], np.cumsum(self._sizes)])
         self.base_seed = int(base_seed)
+        #: last ``(iteration, batch_size)`` sampled and its draws
+        self._memo: Optional[Tuple[Tuple[int, int], Draws]] = None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_memo"] = None  # a cache, not state: never ship it
+        return state
 
     @property
     def n_rows(self) -> int:
@@ -144,13 +151,20 @@ class TwoPhaseIndex:
 
         Deterministic: the same (base_seed, iteration) yields the same
         draws on every caller.  Rows are sampled with replacement,
-        uniformly over the logical dataset.
+        uniformly over the logical dataset.  The last call's draws are
+        kept, so co-hosted workers asking for the same iteration share
+        one immutable :class:`Draws` instead of drawing it again.
         """
+        key = (iteration, batch_size)
+        if self._memo is not None and self._memo[0] == key:
+            return self._memo[1]
         check_positive(batch_size, "batch_size")
         rng = rng_from_seed(iteration_seed(self.base_seed, iteration))
         block_pos = self._cdf.searchsorted(rng.random(batch_size), side="right")
         offsets = rng.integers(0, self._sizes[block_pos])
-        return Draws(self._block_ids[block_pos], offsets)
+        draws = Draws(self._block_ids[block_pos], offsets)
+        self._memo = (key, draws)
+        return draws
 
     def to_global_rows(
         self, draws: Union[Draws, Iterable[Tuple[int, int]]]

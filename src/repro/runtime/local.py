@@ -10,15 +10,25 @@ by construction.  Time is *measured*: every exchange is bracketed by a
 monotonic counter and the round loop advances a :class:`WallClock`
 accumulator with the measured seconds.
 
+The worker *process* is the unit of transport: an exchange sends each
+targeted process one command frame (every hosted worker's entry plus
+the shared payload once) and reads back one reply frame.  A process
+reads its whole frame before it works or replies, so issuing an
+exchange never blocks on a process that is itself blocked sending.  An
+exchange may also be *posted* (``run_all(..., wait=False)``): its
+replies are drained by the next awaited exchange to the same processes
+and returned on :attr:`Exchange.acks`.
+
 Fault tolerance (the real-process port of ``docs/faults.md``):
 
 * every wait is **deadline-bounded** through the sanctioned helpers in
   :mod:`repro.runtime.deadline` (lint rule R018); the deadline follows
   the simulator's TimeoutSync alpha x median rule over *measured*
   exchange durations;
-* command frames carry **sequence numbers** and workers replay their
+* frame entries carry **sequence numbers** and workers replay their
   cached reply on a duplicate, so deadline-expiry resends are
-  at-most-once — a retried ``update`` op cannot double-apply a gradient;
+  at-most-once — a retried op cannot run twice; posted frames are never
+  resent;
 * resends are accounted as :data:`~repro.net.message.MessageKind.RETRY`
   traffic exactly like the sim's lossy-link ARQ, and each expired
   deadline records a :class:`~repro.engine.trace.RetryEvent`;
@@ -133,13 +143,17 @@ class Exchange:
     replies.  ``failures`` maps workers that produced no reply to their
     structured outcome (:class:`WorkerDied` / :class:`WorkerTimeout`);
     ``retries`` counts deadline-expiry and garble resends, each already
-    accounted as RETRY traffic.
+    accounted as RETRY traffic.  ``acks`` holds the replies of earlier
+    posted ops (``run_all(..., wait=False)``) that this exchange drained
+    from its processes' pipes before its own replies.  A posted exchange
+    itself has no replies; its ``seconds`` is the time to send.
     """
 
     replies: Dict[int, WorkerReply]
     seconds: float
     failures: Dict[int, object] = field(default_factory=dict)
     retries: int = 0
+    acks: Dict[int, WorkerReply] = field(default_factory=dict)
 
     def ok(self) -> bool:
         """True when every targeted worker replied."""
@@ -177,58 +191,60 @@ class Exchange:
         return max(0.0, self.seconds - self.max_worker_seconds())
 
 
+def _handle(program, op: str, seq: int, worker_id: int, args, payload) -> tuple:
+    """Run one logical worker's entry of a command frame; its reply tuple."""
+    args = dict(args) if args else {}
+    delay = float(args.pop(_DELAY, 0.0))
+    if delay > 0.0:
+        time.sleep(delay)  # injected straggler (LocalFaultKind.STALL)
+    if op == _PING:
+        return (seq, worker_id, {"pong": True}, None, 0.0)
+    start = time.perf_counter()
+    try:
+        result, reply_payload = program.handle(op, args, payload)
+    except Exception as exc:  # surfaced at the master, see run_all
+        result = {"__error__": "{}: {}".format(type(exc).__name__, exc)}
+        reply_payload = None
+    return (seq, worker_id, result, reply_payload, time.perf_counter() - start)
+
+
 def _process_main(conn, programs: Dict[int, object]) -> None:
     """Worker-process loop: handle ops for the hosted logical workers.
 
-    Frames are ``(seq, op, worker_id, args, payload)``; each worker's
-    last reply is cached by sequence number, and a duplicate frame
-    (a master resend after a lost or late reply) replays the cache
-    instead of re-executing — the at-most-once half of the ARQ, so a
-    retried ``update`` cannot double-apply its gradient.
+    A command frame is ``(op, entries, payload, wait)``: one ``(seq,
+    worker, args)`` entry per targeted hosted worker and the shared
+    payload once.  The process handles the entries in order and answers
+    an awaited frame with one reply frame, the list of their ``(seq,
+    worker, result, payload, seconds)`` replies.  Replies to a posted
+    frame (``wait`` false) are held and sent at the head of the next
+    reply frame, so they still arrive ahead of later replies and a round
+    costs one reply frame per process.  Each worker's last reply is
+    cached by sequence number, and a duplicate entry (a master resend
+    after a lost or late reply) replays the cache instead of
+    re-executing — the at-most-once half of the ARQ, so a retried op
+    cannot run twice.
     """
     last: Dict[int, Tuple[int, tuple]] = {}
+    held: List[tuple] = []
     try:
         while True:
             ok, frame = recv_command(conn)
             if not ok:
                 break  # master gone (EOF): exit rather than linger
-            seq, op, worker_id, args, payload = frame
+            op, entries, payload, wait = frame
             if op == _STOP:
                 break
-            args = dict(args) if args else {}
-            cached = last.get(worker_id)
-            if cached is not None and cached[0] == seq:
-                conn.send(cached[1])
-                continue
-            delay = float(args.pop(_DELAY, 0.0))
-            if delay > 0.0:
-                time.sleep(delay)  # injected straggler (LocalFaultKind.STALL)
-            if op == _PING:
-                reply = (seq, worker_id, {"pong": True}, None, 0.0)
-            else:
-                start = time.perf_counter()
-                try:
-                    result, reply_payload = programs[worker_id].handle(
-                        op, args, payload
+            for seq, worker_id, args in entries:
+                cached = last.get(worker_id)
+                if cached is None or cached[0] != seq:
+                    reply = _handle(
+                        programs[worker_id], op, seq, worker_id, args, payload
                     )
-                except Exception as exc:  # surfaced at the master, see run_all
-                    reply = (
-                        seq,
-                        worker_id,
-                        {"__error__": "{}: {}".format(type(exc).__name__, exc)},
-                        None,
-                        time.perf_counter() - start,
-                    )
-                else:
-                    reply = (
-                        seq,
-                        worker_id,
-                        result,
-                        reply_payload,
-                        time.perf_counter() - start,
-                    )
-            last[worker_id] = (seq, reply)
-            conn.send(reply)
+                    cached = last[worker_id] = (seq, reply)
+                held.append(cached[1])
+            if wait:
+                conn.send(held)
+                held = []
     except (EOFError, BrokenPipeError, OSError, KeyboardInterrupt):
         pass
     finally:
@@ -275,7 +291,11 @@ class LocalRuntime(Runtime):
         self._procs: List[multiprocessing.process.BaseProcess] = []
         self._conns: List[object] = []
         self._workers_of_proc: List[List[int]] = []
+        #: worker id -> index of its host process
+        self._host: List[int] = []
         self._dead_procs: set = set()
+        #: seq -> (worker, op) of posted ops whose reply is still unread
+        self._posted: Dict[int, Tuple[int, str]] = {}
         #: pending one-shot reply mangling per worker: 'drop' | 'garble'
         self._mangle: Dict[int, str] = {}
         self._seq = 0
@@ -386,6 +406,7 @@ class LocalRuntime(Runtime):
             self._procs.append(proc)
             self._conns.append(conn)
             self._workers_of_proc.append(hosted)
+            self._host.extend([i] * len(hosted))
         self._started = True
         return self
 
@@ -409,7 +430,7 @@ class LocalRuntime(Runtime):
             if i in self._dead_procs:
                 continue
             try:
-                conn.send((0, _STOP, -1, None, None))
+                conn.send((_STOP, (), None, True))
             except (BrokenPipeError, OSError):
                 pass
         for proc in self._procs:
@@ -424,7 +445,8 @@ class LocalRuntime(Runtime):
             except OSError:
                 pass
         self._procs, self._conns, self._workers_of_proc = [], [], []
-        self._dead_procs, self._mangle = set(), {}
+        self._host, self._dead_procs, self._mangle = [], set(), {}
+        self._posted = {}
         self._started = False
 
     # ------------------------------------------------------------------
@@ -433,13 +455,16 @@ class LocalRuntime(Runtime):
     def _refresh_liveness(self) -> None:
         for i, proc in enumerate(self._procs):
             if i not in self._dead_procs and not proc.is_alive():
-                self._dead_procs.add(i)
+                self._mark_dead(i)
 
-    def _proc_of(self, worker: int) -> int:
-        for i, hosted in enumerate(self._workers_of_proc):
-            if worker in hosted:
-                return i
-        raise ConfigurationError("no process hosts worker {}".format(worker))
+    def _mark_dead(self, i: int) -> None:
+        """Record process ``i`` as dead; its posted replies are lost."""
+        self._dead_procs.add(i)
+        self._posted = {
+            seq: posted
+            for seq, posted in self._posted.items()
+            if self._host[posted[0]] != i
+        }
 
     def dead_workers(self) -> List[int]:
         """Logical workers whose host process is currently dead."""
@@ -458,12 +483,14 @@ class LocalRuntime(Runtime):
         """
         if not self._started:
             raise SimulationError("LocalRuntime not started; call start()")
-        i = self._proc_of(worker)
+        if not 0 <= worker < self._n_workers:
+            raise ConfigurationError("no process hosts worker {}".format(worker))
+        i = self._host[worker]
         proc = self._procs[i]
         if proc.is_alive():
             os.kill(proc.pid, signal.SIGKILL)
             join_within(proc, 5.0)
-        self._dead_procs.add(i)
+        self._mark_dead(i)
 
     def inject_faults(
         self, events: Iterable[LocalFaultEvent]
@@ -535,21 +562,35 @@ class LocalRuntime(Runtime):
         workers: Optional[Sequence[int]] = None,
         iteration: Optional[int] = None,
         raise_on_fault: bool = True,
+        wait: bool = True,
     ) -> Exchange:
         """Issue ``op`` to the targeted workers and collect the replies.
 
         ``payload`` (one blob for everyone — a broadcast) and ``args``
         are shared; ``per_worker_args`` entries are merged over ``args``
         for the targeted worker; ``workers`` restricts the exchange to a
-        subset (default: all).  The exchange is measured wall-clock at
-        the master and every wait is deadline-bounded: when the
-        timeout policy's deadline expires the frame is resent with
-        exponential backoff (accounted as RETRY traffic and recorded as
-        a :class:`~repro.engine.trace.RetryEvent` under ``iteration``),
+        subset (default: all).  Each targeted process gets one frame
+        holding its hosted workers' ``(seq, worker, args)`` entries and
+        the payload once, and answers with one reply frame.  The
+        exchange is measured wall-clock at the master and every wait is
+        deadline-bounded: when the timeout policy's deadline expires the
+        silent workers' entries are resent with exponential backoff
+        (accounted as RETRY traffic and recorded as a
+        :class:`~repro.engine.trace.RetryEvent` under ``iteration``),
         and a worker still silent after ``max_retries`` resends — or
         whose process died — lands in ``Exchange.failures``.
 
-        With ``raise_on_fault=True`` (the default) such failures raise
+        ``wait=False`` *posts* the op: the frames are sent and an
+        exchange with no replies returns at once.  Each process holds
+        its posted replies and sends them at the head of its next reply
+        frame, so the next awaited exchange to the same processes reads
+        them first and returns them on ``Exchange.acks``.  Posted frames
+        are never resent, DROP/GARBLE mangling applies only to awaited
+        replies, and posted exchanges do not feed the timeout policy.  A
+        posted op's remote error raises on the exchange that drains it;
+        its process's death shows there as :class:`WorkerDied`.
+
+        With ``raise_on_fault=True`` (the default) failures raise
         :class:`~repro.errors.WorkerUnresponsiveError`; executors that
         run the recovery pipeline pass ``False`` and consume the
         structured outcomes.  Worker-side exceptions always raise
@@ -568,45 +609,64 @@ class LocalRuntime(Runtime):
             raise ConfigurationError("unknown worker(s) {}".format(unknown))
         resend_bytes = OBJECT_OVERHEAD_BYTES + len(payload or b"")
 
-        frames: Dict[int, tuple] = {}
-        pending: Dict[int, int] = {}  # worker -> awaited seq
-        conn_index = {id(conn): i for i, conn in enumerate(self._conns)}
+        entries: Dict[int, tuple] = {}  # worker -> (seq, worker, args)
+        by_proc: Dict[int, List[int]] = {}  # live process -> its targets
+        pending: Dict[int, int] = {}  # awaited seq -> worker
         failures: Dict[int, object] = {}
-        errors: Dict[int, str] = {}
+        errors: List[Tuple[int, str, str]] = []  # (worker, op, message)
         replies: Dict[int, WorkerReply] = {}
+        acks: Dict[int, WorkerReply] = {}
         retries = 0
         retry_log: List[Tuple[int, Tuple[int, ...], float]] = []
 
         def mark_proc_dead(i: int) -> None:
-            self._dead_procs.add(i)
-            for w in self._workers_of_proc[i]:
-                if w in pending:
-                    del pending[w]
+            self._mark_dead(i)
+            for seq, w in list(pending.items()):
+                if self._host[w] == i:
+                    del pending[seq]
                     failures[w] = WorkerDied(worker=w, op=op)
 
-        # issue phase -----------------------------------------------------
-        for i, (conn, hosted) in enumerate(
-            zip(self._conns, self._workers_of_proc)
-        ):
+        def send_frame(i: int, hosted: List[int]) -> bool:
+            try:
+                self._conns[i].send(
+                    (op, tuple(entries[w] for w in hosted), payload, wait)
+                )
+            except (BrokenPipeError, OSError):
+                mark_proc_dead(i)
+                return False
+            return True
+
+        def resend(i: int, hosted: List[int]) -> int:
+            if not send_frame(i, hosted):
+                return 0
             for w in hosted:
-                if w not in targets:
-                    continue
-                merged = dict(args) if args else {}
-                if per_worker_args and w in per_worker_args:
-                    merged.update(per_worker_args[w])
-                self._seq += 1
-                frames[w] = (self._seq, op, w, merged, payload)
-                if i in self._dead_procs:
-                    failures[w] = WorkerDied(worker=w, op=op)
-                    continue
-                try:
-                    conn.send(frames[w])
-                    pending[w] = self._seq
-                except (BrokenPipeError, OSError):
-                    failures[w] = WorkerDied(worker=w, op=op)
-                    mark_proc_dead(i)
+                self._network.send(
+                    Message(MessageKind.RETRY, Message.MASTER, w, resend_bytes)
+                )
+            return len(hosted)
 
-        # collect phase: deadline-bounded ARQ -----------------------------
+        # issue phase: one frame per process -----------------------------
+        for w in targets:
+            merged = dict(args) if args else {}
+            if per_worker_args and w in per_worker_args:
+                merged.update(per_worker_args[w])
+            self._seq += 1
+            entries[w] = (self._seq, w, merged)
+            if self._host[w] in self._dead_procs:
+                failures[w] = WorkerDied(worker=w, op=op)
+            else:
+                by_proc.setdefault(self._host[w], []).append(w)
+        for i, hosted in by_proc.items():
+            for w in hosted:
+                if wait:
+                    pending[entries[w][0]] = w
+                else:
+                    self._posted[entries[w][0]] = (w, op)
+            if not send_frame(i, hosted):
+                failures.update({w: WorkerDied(worker=w, op=op) for w in hosted})
+
+        # collect phase: deadline-bounded ARQ; held posted replies ride
+        # at the head of the processes' reply frames
         attempt = 0
         deadline = self.timeout.deadline_s(attempt)
         while pending:
@@ -616,65 +676,61 @@ class LocalRuntime(Runtime):
                 if remaining <= 0:
                     break
                 watched = {
-                    id(self._conns[self._proc_of(w)]): self._conns[self._proc_of(w)]
-                    for w in pending
+                    self._conns[self._host[w]]: self._host[w]
+                    for w in pending.values()
                 }
-                for conn in wait_ready(list(watched.values()), remaining):
-                    i = conn_index[id(conn)]
+                for conn in wait_ready(list(watched), remaining):
+                    i = watched[conn]
                     ok, frame = recv_ready(conn)
                     if not ok:
                         mark_proc_dead(i)
                         continue
-                    seq, w, result, reply_payload, seconds = frame
-                    if pending.get(w) != seq:
-                        continue  # stale reply from a prior exchange/resend
-                    mangle = self._mangle.pop(w, None)
-                    if mangle == "drop":
-                        # reply lost in transit: the ARQ timer will resend
-                        continue
-                    if mangle == "garble":
-                        # checksum failure at receipt: account the wasted
-                        # arrival and resend immediately
-                        self._network.send(
-                            Message(
-                                MessageKind.RETRY,
-                                w,
-                                Message.MASTER,
-                                OBJECT_OVERHEAD_BYTES + len(reply_payload or b""),
-                            )
-                        )
-                        try:
-                            conn.send(frames[w])
-                            self._network.send(
-                                Message(
-                                    MessageKind.RETRY,
-                                    Message.MASTER,
-                                    w,
-                                    resend_bytes,
+                    garbled: List[int] = []
+                    for seq, w, result, reply_payload, seconds in frame:
+                        if seq in self._posted:
+                            name, into = self._posted.pop(seq)[1], acks
+                        elif seq in pending:
+                            mangle = self._mangle.pop(w, None)
+                            if mangle == "drop":
+                                # reply lost in transit: the ARQ timer will resend
+                                continue
+                            if mangle == "garble":
+                                # checksum failure at receipt: account the
+                                # wasted arrival and resend immediately
+                                self._network.send(
+                                    Message(
+                                        MessageKind.RETRY,
+                                        w,
+                                        Message.MASTER,
+                                        OBJECT_OVERHEAD_BYTES + len(reply_payload or b""),
+                                    )
                                 )
+                                garbled.append(w)
+                                continue
+                            del pending[seq]
+                            name, into = op, replies
+                        else:
+                            continue  # stale reply from a prior exchange/resend
+                        if "__error__" in result:
+                            errors.append((w, name, result["__error__"]))
+                        else:
+                            into[w] = WorkerReply(
+                                worker=w,
+                                result=result,
+                                payload=reply_payload,
+                                seconds=float(seconds),
                             )
-                            retries += 1
-                        except (BrokenPipeError, OSError):
-                            mark_proc_dead(i)
-                        continue
-                    del pending[w]
-                    if "__error__" in result:
-                        errors[w] = result["__error__"]
-                        continue
-                    replies[w] = WorkerReply(
-                        worker=w,
-                        result=result,
-                        payload=reply_payload,
-                        seconds=float(seconds),
-                    )
+                    if garbled:
+                        retries += resend(i, garbled)
             if not pending:
                 break
             # deadline expired with stragglers
-            retry_log.append((attempt, tuple(sorted(pending)), deadline))
+            silent = sorted(pending.values())
+            retry_log.append((attempt, tuple(silent), deadline))
             if attempt >= self.timeout.max_retries:
                 self._refresh_liveness()
-                for w in sorted(pending):
-                    if self._proc_of(w) in self._dead_procs:
+                for w in silent:
+                    if self._host[w] in self._dead_procs:
                         failures[w] = WorkerDied(worker=w, op=op)
                     else:
                         failures[w] = WorkerTimeout(
@@ -687,23 +743,19 @@ class LocalRuntime(Runtime):
                 break
             attempt += 1
             deadline = self.timeout.deadline_s(attempt)
-            for w in list(pending):
-                i = self._proc_of(w)
-                try:
-                    self._conns[i].send(frames[w])
-                    self._network.send(
-                        Message(MessageKind.RETRY, Message.MASTER, w, resend_bytes)
-                    )
-                    retries += 1
-                except (BrokenPipeError, OSError):
-                    mark_proc_dead(i)
+            stragglers: Dict[int, List[int]] = {}
+            for w in silent:
+                stragglers.setdefault(self._host[w], []).append(w)
+            for i, hosted in stragglers.items():
+                retries += resend(i, hosted)
 
         # trace + bookkeeping ---------------------------------------------
         if self.engine_trace is not None and iteration is not None:
+            errored = {w for w, _, _ in errors}
             for log_attempt, suspects, log_deadline in retry_log:
                 resolved = (
                     "arrived"
-                    if all(w in replies or w in errors for w in suspects)
+                    if all(w in replies or w in errored for w in suspects)
                     else "failed"
                 )
                 self.engine_trace.add_retry(
@@ -716,15 +768,15 @@ class LocalRuntime(Runtime):
                     )
                 )
         elapsed = time.perf_counter() - start
-        if not failures and not retry_log:
+        if wait and not failures and not retry_log:
             self.timeout.observe(elapsed)
         if errors:
-            # satellite fix: every in-flight reply was drained above, so
-            # raising here cannot desynchronize the shared pipes.
+            # every in-flight reply was drained above, so raising here
+            # cannot desynchronize the shared pipes.
             raise SimulationError(
                 "; ".join(
-                    "op {!r} failed on worker {}: {}".format(op, w, errors[w])
-                    for w in sorted(errors)
+                    "op {!r} failed on worker {}: {}".format(name, w, message)
+                    for w, name, message in sorted(errors)
                 )
             )
         exchange = Exchange(
@@ -732,6 +784,7 @@ class LocalRuntime(Runtime):
             seconds=elapsed,
             failures=failures,
             retries=retries,
+            acks=acks,
         )
         if failures and raise_on_fault:
             raise WorkerUnresponsiveError(
@@ -741,20 +794,23 @@ class LocalRuntime(Runtime):
             )
         return exchange
 
-    def busiest_process_seconds(self, replies: Mapping[int, WorkerReply]) -> float:
+    def busiest_process_seconds(
+        self, *replies: Mapping[int, WorkerReply]
+    ) -> float:
         """Summed handler seconds of the busiest worker process.
 
         Co-hosted workers run their handlers one after another, so a
         process is busy for the sum of its workers' handler times.  That
         sum, maxed over processes, is an exchange's compute share; the
         slowest single handler would book a neighbour's compute as
-        transport whenever K > P.  ``replies`` is an
-        :attr:`Exchange.replies` map, or several merged across recovery
-        re-issues; workers without a reply count zero.
+        transport whenever K > P.  Each of ``replies`` is an
+        :attr:`Exchange.replies` / :attr:`Exchange.acks` map, or several
+        merged across recovery re-issues; all of them add to their
+        processes' sums, and workers without a reply count zero.
         """
         return max(
             (
-                sum(replies[w].seconds for w in hosted if w in replies)
+                sum(r[w].seconds for r in replies for w in hosted if w in r)
                 for hosted in self._workers_of_proc
             ),
             default=0.0,

@@ -1,5 +1,6 @@
 """Unit tests for the two-phase sampling index."""
 
+import pickle
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -76,6 +77,34 @@ class TestTwoPhaseIndex:
     def test_batch_size_positive(self, index):
         with pytest.raises(ValueError):
             index.sample(0, 0)
+
+    def test_repeat_call_returns_the_same_draws_object(self, index):
+        """Co-hosted workers sample the same iteration one after another;
+        the second call hands back the first call's immutable Draws."""
+        first = index.sample(4, 30)
+        assert index.sample(4, 30) is first
+
+    def test_new_arguments_draw_again(self, index):
+        first = index.sample(4, 30)
+        later = index.sample(5, 30)
+        assert later is not first
+        assert index.sample(5, 20) is not later
+        assert index.sample(4, 30) is not first  # the memo holds one entry
+        assert index.sample(4, 30) == first
+
+    def test_memoised_draws_are_bit_equal_to_a_fresh_index(self, index):
+        fresh = TwoPhaseIndex({0: 10, 1: 10, 2: 5}, base_seed=7)
+        for t in (0, 0, 1, 1, 1, 0, 7, 7):
+            got, expected = index.sample(t, 25), fresh.sample(t, 25)
+            np.testing.assert_array_equal(got.block_ids, expected.block_ids)
+            np.testing.assert_array_equal(got.offsets, expected.offsets)
+            fresh = TwoPhaseIndex({0: 10, 1: 10, 2: 5}, base_seed=7)
+
+    def test_memo_is_left_out_of_pickled_state(self, index):
+        unsampled = pickle.dumps(index)
+        draws = index.sample(2, 50)
+        assert pickle.dumps(index) == unsampled
+        assert pickle.loads(unsampled).sample(2, 50) == draws
 
     @given(
         sizes=st.lists(st.integers(1, 5000), min_size=1, max_size=40),
