@@ -10,8 +10,8 @@ contributions in worker order, adds the regularizer once, and steps the
 optimizer — floating-point-identical to the simulated trainer, which
 runs the same code in-process.
 
-Fault tolerance is the easy case of the pipeline in
-``repro.core.localexec``: RowSGD workers are *stateless* with respect
+Fault tolerance is the easy case of the shared harness in
+:mod:`repro.engine.local`: RowSGD workers are *stateless* with respect
 to the model (it lives at the master; a shard is just data the master
 still holds), so recovering a SIGKILLed process is respawn + nothing —
 recorded as a ``mode='reload'`` :class:`~repro.engine.trace.RecoveryEvent`
@@ -30,14 +30,14 @@ model averaging) remain simulator-only and say so loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.results import TrainingResult
 from repro.datasets.dataset import Dataset
-from repro.engine import EngineTrace, PhaseEvent, RoundOutcome, run_training_loop
-from repro.engine.trace import RecoveryEvent
+from repro.engine import RoundOutcome
+from repro.engine.local import LocalHarness, expect_retries
 from repro.errors import (
     ConfigurationError,
     TrainingError,
@@ -45,25 +45,13 @@ from repro.errors import (
 )
 from repro.models.base import StatisticsModel
 from repro.net.message import MessageKind
-from repro.net.protocol import ProtocolChecker, TrafficEnvelope
 from repro.partition.row import sample_shard_batch
-from repro.runtime.chaos import LocalChaos
 from repro.runtime.deadline import TimeoutPolicy
-from repro.runtime.local import LocalRuntime, WorkerReply
 from repro.storage.serialization import (
-    OBJECT_OVERHEAD_BYTES,
     DenseVectorPayload,
     decode_payload,
     encode_payload,
 )
-
-#: phase order of one local RowSGD round (pull and push share the
-#: exchange's transport time evenly — the command and the reply ride
-#: the same round-trip, so the split is a rendering convention)
-_PHASES = ("pull", "compute_gradients", "push", "center_update")
-
-#: bounded death-recovery attempts per exchange before escalating
-_MAX_RECOVERY_ROUNDS = 3
 
 
 @dataclass
@@ -109,10 +97,7 @@ class RowWorkerProgram:
 
 
 def run_local_rowsgd(
-    trainer,
-    iterations: int,
-    result: TrainingResult,
-    runtime: Optional[LocalRuntime] = None,
+    trainer, iterations: int, result: TrainingResult
 ) -> TrainingResult:
     """Drive ``iterations`` real multiprocess MLlib rounds.
 
@@ -132,13 +117,6 @@ def run_local_rowsgd(
             "MLlib baseline cannot read it — use the ColumnSGD driver "
             "or drop store_dir"
         )
-    chaos = trainer.failures if isinstance(trainer.failures, LocalChaos) else None
-    if chaos is None and trainer.failures.any_scheduled():
-        raise ConfigurationError(
-            "backend='local' runs real processes; simulated failure "
-            "injection cannot reach them — pass a repro.runtime.LocalChaos "
-            "plan for real faults, or use backend='sim'"
-        )
     config = trainer.config
     K = trainer.cluster.n_workers
 
@@ -152,98 +130,28 @@ def run_local_rowsgd(
             batch_size=config.batch_size,
         )
 
-    owns_runtime = runtime is None
-    if owns_runtime:
-        runtime = LocalRuntime(
-            K,
-            processes=config.local_processes,
-            timeout=TimeoutPolicy(floor_s=config.local_timeout_s),
-        )
-        runtime.start({w: program_for(w) for w in range(K)})
-    trainer.local_runtime = runtime
-    # Continue the recorded time axis: load() charged simulated seconds
-    # to the cluster clock and the initial eval record carries that
-    # offset, so measured rounds must accumulate on top of it.
-    runtime.clock.reset(trainer.cluster.clock.now())
-
-    trace = EngineTrace(system=result.system)
-    runtime.engine_trace = trace
-    trainer.cluster.engine_trace = trace
-    checker = ProtocolChecker(runtime) if config.check_protocol else None
-
-    def gradient_exchange(
-        t: int,
-        args: dict,
-        payload: bytes,
-        stall_args: Optional[Dict[int, dict]],
-    ):
-        """The gather, surviving worker-process death by respawn.
-
-        Nothing to restore: the model rides in ``payload`` and the shard
-        is rebuilt from the master's copy, so a recovered worker is
-        whole the moment it forks (``mode='reload'``)."""
-        replies: Dict[int, WorkerReply] = {}
-        seconds = 0.0
-        retries = 0
-        targets = list(range(K))
-        extra = stall_args
-        failures: Dict[int, object] = {}
-        for _ in range(_MAX_RECOVERY_ROUNDS):
-            ex = runtime.run_all(
-                "gradient",
-                args=args,
-                payload=payload,
-                per_worker_args=extra,
-                workers=targets,
-                iteration=t,
-                raise_on_fault=False,
-            )
-            replies.update(ex.replies)
-            seconds += ex.seconds
-            retries += ex.retries
-            failures = dict(ex.failures)
-            dead = runtime.dead_workers()
-            if not ex.dead_workers():
-                break
-            respawn_s = runtime.respawn({w: program_for(w) for w in dead})
-            seconds += respawn_s
-            detect = ex.seconds
-            for w in dead:
-                trace.add_recovery(
-                    RecoveryEvent(
-                        round=t,
-                        kind="worker",
-                        mode="reload",
-                        worker=w,
-                        detect_s=detect,
-                        reload_s=respawn_s / len(dead),
-                    )
-                )
-                detect = 0.0
-            targets = sorted(failures)
-            extra = None  # injected straggler delays apply once
-        else:
-            raise WorkerUnresponsiveError(
-                "gradient",
-                dead=runtime.dead_workers(),
-                silent=sorted(failures),
-            )
-        if failures:
-            raise WorkerUnresponsiveError("gradient", silent=sorted(failures))
-        return replies, seconds, retries
+    # Nothing to restore: the model rides in every gradient payload and
+    # the shard is rebuilt from the master's copy, so a respawned worker
+    # is whole the moment it forks.
+    harness = LocalHarness(
+        trainer,
+        result,
+        TimeoutPolicy(floor_s=config.local_timeout_s),
+        program_for,
+        restore=lambda w, t: ("reload", 0.0),
+    )
+    runtime = harness.runtime
 
     def run_round(t: int) -> RoundOutcome:
         round_start = runtime.clock.now()
-        stall_args = (
-            runtime.inject_faults(chaos.events_at(t)) or None
-            if chaos is not None
-            else None
-        )
+        stall_args = harness.stall_args(t)
         model_payload = encode_payload(DenseVectorPayload(trainer._params))
         shape = list(trainer._params.shape)
-        replies, exchange_s, retries = gradient_exchange(
-            t, {"t": t, "shape": shape}, model_payload, stall_args
+        replies, silent, exchange_s, retries, _ = harness.exchange(
+            t, "gradient", {"t": t, "shape": shape}, model_payload, stall_args
         )
+        if silent:
+            raise WorkerUnresponsiveError("gradient", silent=silent)
         runtime.broadcast(MessageKind.MODEL_PULL, len(model_payload))
         sizes = [len(replies[w].payload) for w in range(K)]
         runtime.gather(MessageKind.GRADIENT_PUSH, sizes)
@@ -265,76 +173,30 @@ def run_local_rowsgd(
         _, update_s = runtime.measure(center_update)
         compute_s = runtime.busiest_process_seconds(replies)
         comm_s = max(0.0, exchange_s - compute_s)
+        # pull and push share the exchange's transport time evenly: the
+        # command and the reply ride one round trip, so the split is a
+        # rendering convention
         phase_seconds = {
             "pull": comm_s / 2.0,
             "compute_gradients": compute_s,
             "push": comm_s / 2.0,
             "center_update": update_s,
         }
-        _trace_round(trace, t, round_start, phase_seconds)
-        worker_seconds = {
-            "compute_gradients": {w: r.seconds for w, r in replies.items()}
-        }
+        harness.trace_phases(t, round_start, phase_seconds)
         expected = {
             MessageKind.MODEL_PULL: (K, K * len(model_payload)),
             MessageKind.GRADIENT_PUSH: (K, sum(sizes)),
         }
-        if retries:
-            frame = OBJECT_OVERHEAD_BYTES + max(sizes + [len(model_payload)])
-            expected[MessageKind.RETRY] = TrafficEnvelope(
-                retries, 2 * retries, 0, 2 * retries * frame
-            )
         return RoundOutcome(
             duration=exchange_s + update_s,
             phase_seconds=phase_seconds,
-            worker_seconds=worker_seconds,
+            worker_seconds={
+                "compute_gradients": {w: r.seconds for w, r in replies.items()}
+            },
             chosen=set(range(K)),
-            expected=expected,
+            expected=expect_retries(expected, retries, sizes + [len(model_payload)]),
         )
 
-    try:
-        run_training_loop(
-            cluster=runtime,
-            run_round=run_round,
-            iterations=iterations,
-            eval_every=config.eval_every,
-            record=lambda t, duration, bytes_sent, evaluate: trainer._record(
-                result, t, duration, bytes_sent, evaluate,
-                now=runtime.clock.now(),
-            ),
-            checker=checker,
-        )
-    finally:
-        if owns_runtime:
-            runtime.close()
+    harness.run(run_round, iterations)
     result.final_params = np.array(trainer._params, copy=True)
     return result
-
-
-def _trace_round(trace, t, round_start, phase_seconds) -> None:
-    offset = 0.0
-    categories = {
-        "pull": "comm",
-        "compute_gradients": "compute",
-        "push": "comm",
-        "center_update": "master",
-    }
-    kinds = {
-        "pull": MessageKind.MODEL_PULL.value,
-        "push": MessageKind.GRADIENT_PUSH.value,
-    }
-    for name in _PHASES:
-        seconds = phase_seconds[name]
-        trace.add(
-            PhaseEvent(
-                round=t,
-                phase=name,
-                category=categories[name],
-                start=offset,
-                end=offset + seconds,
-                sim_start=round_start + offset,
-                sim_end=round_start + offset + seconds,
-                kind=kinds.get(name),
-            )
-        )
-        offset += seconds

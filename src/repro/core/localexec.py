@@ -32,8 +32,9 @@ Fault tolerance mirrors the simulator's pipeline on real processes
   SIGKILLs worker processes, stalls handlers, and drops/garbles reply
   frames — seeded and deterministic per seed;
 * the transport detects death (pipe EOF) and silence (TimeoutSync-style
-  alpha x median deadlines) and this executor recovers: dead processes
-  are respawned and their logical workers restored from the on-disk
+  alpha x median deadlines); the shared harness
+  (:mod:`repro.engine.local`) respawns dead processes and this
+  executor's ``restore`` hook reloads their logical workers from the on-disk
   :class:`~repro.core.recovery.LocalCheckpointStore` (codec decode +
   optimizer reload — rollback to snapshot, no replay, exactly like the
   simulated ``RecoveryManager``), falling back to zero-init when no
@@ -58,20 +59,19 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.recovery import LocalCheckpointStore
 from repro.core.results import TrainingResult
 from repro.core.worker import ColumnWorker
-from repro.engine import EngineTrace, PhaseEvent, RoundOutcome, run_training_loop
-from repro.engine.trace import RecoveryEvent
+from repro.engine import RoundOutcome
+from repro.engine.local import LocalHarness, build_runtime, expect_retries
 from repro.errors import ConfigurationError, WorkerUnresponsiveError
 from repro.net.message import Message, MessageKind
-from repro.net.protocol import ProtocolChecker, TrafficEnvelope
 from repro.partition.indexing import TwoPhaseIndex
-from repro.runtime.chaos import LocalChaos
 from repro.runtime.deadline import TimeoutPolicy
 from repro.runtime.local import Exchange, LocalRuntime, WorkerReply
 from repro.storage.serialization import (
@@ -80,23 +80,6 @@ from repro.storage.serialization import (
     decode_payload,
     encode_payload,
 )
-
-#: phase order of one local ColumnSGD round, for trace rendering
-_PHASES = ("compute_statistics", "gather", "reduce", "broadcast", "update_model")
-_CATEGORIES = {
-    "compute_statistics": "compute",
-    "gather": "comm",
-    "reduce": "master",
-    "broadcast": "comm",
-    "update_model": "compute",
-}
-_KINDS = {
-    "gather": MessageKind.STATISTICS_PUSH.value,
-    "broadcast": MessageKind.STATISTICS_BCAST.value,
-}
-
-#: bounded death-recovery attempts per exchange before escalating
-_MAX_RECOVERY_ROUNDS = 3
 
 
 @dataclass
@@ -212,21 +195,9 @@ def _build_program(driver, worker_id: int) -> ColumnWorkerProgram:
     )
 
 
-def make_local_runtime(driver) -> Tuple[LocalRuntime, Dict[int, ColumnWorkerProgram]]:
-    """Build (but do not start) the runtime + programs for a driver."""
-    config = driver.config
-    if driver._index is None:
-        raise ConfigurationError("call load() before starting the local backend")
-    if (
-        not isinstance(driver.failures, LocalChaos)
-        and driver.failures.any_scheduled()
-    ):
-        raise ConfigurationError(
-            "backend='local' runs real processes; simulated failure "
-            "injection cannot reach them — pass a repro.runtime.LocalChaos "
-            "plan for real faults, or use backend='sim'"
-        )
-    timeout = TimeoutPolicy(
+def _timeout_policy(config) -> TimeoutPolicy:
+    """The transport deadline rule from the config's ``sync_*`` knobs."""
+    return TimeoutPolicy(
         alpha=config.sync_alpha,
         floor_s=config.local_timeout_s,
         max_retries=(
@@ -234,49 +205,27 @@ def make_local_runtime(driver) -> Tuple[LocalRuntime, Dict[int, ColumnWorkerProg
         ),
         backoff=config.sync_backoff,
     )
-    runtime = LocalRuntime(
-        driver.cluster.n_workers,
-        processes=config.local_processes,
-        timeout=timeout,
+
+
+def make_local_runtime(driver) -> Tuple[LocalRuntime, Dict[int, ColumnWorkerProgram]]:
+    """Build (but do not start) the runtime + programs for a driver."""
+    if driver._index is None:
+        raise ConfigurationError("call load() before starting the local backend")
+    return build_runtime(
+        driver, _timeout_policy(driver.config), partial(_build_program, driver)
     )
-    programs = {
-        w: _build_program(driver, w) for w in range(driver.cluster.n_workers)
-    }
-    return runtime, programs
 
 
 def run_local_columnsgd(
-    driver,
-    iterations: int,
-    result: TrainingResult,
-    runtime: Optional[LocalRuntime] = None,
+    driver, iterations: int, result: TrainingResult
 ) -> TrainingResult:
     """Drive ``iterations`` real multiprocess rounds for ``driver``.
 
     Called by :meth:`~repro.core.driver.ColumnSGDDriver.fit` when the
     config says ``backend='local'``; ``result`` already carries the run
-    metadata (and the initial evaluation record).  An externally
-    started ``runtime`` may be passed for tests; otherwise one is
-    created, started, and closed here.
+    metadata (and the initial evaluation record).
     """
     config = driver.config
-    owns_runtime = runtime is None
-    if owns_runtime:
-        runtime, programs = make_local_runtime(driver)
-        runtime.start(programs)
-    driver.local_runtime = runtime
-    # Continue the recorded time axis: load() charged simulated seconds
-    # to the cluster clock and the initial eval record carries that
-    # offset, so measured rounds must accumulate on top of it.
-    runtime.clock.reset(driver.cluster.clock.now())
-
-    trace = EngineTrace(system=result.system)
-    runtime.engine_trace = trace
-    driver.cluster.engine_trace = trace
-    checker = ProtocolChecker(runtime) if config.check_protocol else None
-    K = runtime.n_workers
-
-    chaos = driver.failures if isinstance(driver.failures, LocalChaos) else None
     policy = driver.recovery_policy
     store = LocalCheckpointStore() if policy.checkpoint_every else None
     driver.local_checkpoints = store
@@ -285,11 +234,10 @@ def run_local_columnsgd(
     )
     posted: Optional[_PostedUpdate] = None
 
-    def settle(ex: Exchange) -> Dict[int, WorkerReply]:
+    def settle(acks: Dict[int, WorkerReply]) -> None:
         """Keep the update acks an exchange drained for book_update."""
         if posted is not None:
-            posted.acks.update(ex.acks)
-        return ex.acks
+            posted.acks.update(acks)
 
     def book_update() -> None:
         """Book the posted update to the round that posted it.
@@ -306,18 +254,15 @@ def run_local_columnsgd(
         posted.worker_seconds["update_model"].update(
             {w: r.seconds for w, r in posted.acks.items()}
         )
-        _trace_phases(
-            trace, posted.t, posted.round_start, {"update_model": busy}, posted.offset
+        harness.trace_phases(
+            posted.t, posted.round_start, {"update_model": busy}, posted.offset
         )
         posted = None
 
-    # ------------------------------------------------------------------
-    # fault pipeline: checkpoint, detect, respawn, restore
-    # ------------------------------------------------------------------
     def write_checkpoint(t: int) -> float:
         """Pull every live worker's snapshot blob and spill it to disk."""
         ex = runtime.run_all("checkpoint", iteration=t, raise_on_fault=False)
-        settle(ex)
+        settle(ex.acks)
         for w, reply in ex.replies.items():
             runtime.network.send(
                 Message(
@@ -332,112 +277,35 @@ def run_local_columnsgd(
             ).items():
                 store.write(t, pid, shape, params_bytes, opt_blob)
         # dead workers discovered here are recovered by the round's first
-        # reliable exchange; their partitions keep the previous snapshot
+        # exchange; their partitions keep the previous snapshot
         return ex.seconds
 
-    def recover_dead(t: int, detect_s: float) -> float:
-        """Respawn dead processes and restore their logical workers.
-
-        Escalation per partition: checkpoint restore when a snapshot is
-        on disk, zero-init otherwise (backup replicas need backup > 0,
-        which the local backend does not host).  Records one
-        :class:`RecoveryEvent` per recovered worker.
-        """
-        dead = runtime.dead_workers()
-        if not dead:
-            return 0.0
-        respawn_s = runtime.respawn({w: _build_program(driver, w) for w in dead})
-        total = respawn_s
-        detect_share = detect_s
-        for w in dead:
-            blob = {}
-            restored_from_store = bool(driver.groups.partitions_of_worker(w))
-            for pid in driver.groups.partitions_of_worker(w):
-                if store is not None and store.has_snapshot(pid):
-                    _, shape, params_bytes, opt_blob = store.read(pid)
-                    blob[pid] = (shape, params_bytes, opt_blob)
-                else:
-                    blob[pid] = (None, None, None)
-                    restored_from_store = False
-            mode = "checkpoint" if restored_from_store else "zero-init"
-            payload = pickle.dumps(blob)
-            runtime.network.send(
-                Message(
-                    MessageKind.CHECKPOINT,
-                    Message.MASTER,
-                    w,
-                    OBJECT_OVERHEAD_BYTES + len(payload),
-                )
+    def restore(w: int, t: int) -> Tuple[str, float]:
+        """Reload a respawned worker's partitions: checkpoint restore
+        when a snapshot is on disk, zero-init otherwise (backup replicas
+        need backup > 0, which the local backend does not host)."""
+        partitions = driver.groups.partitions_of_worker(w)
+        mode = "checkpoint" if partitions else "zero-init"
+        blob = {}
+        for pid in partitions:
+            if store is not None and store.has_snapshot(pid):
+                _, shape, params_bytes, opt_blob = store.read(pid)
+                blob[pid] = (shape, params_bytes, opt_blob)
+            else:
+                blob[pid] = (None, None, None)
+                mode = "zero-init"
+        payload = pickle.dumps(blob)
+        runtime.network.send(
+            Message(
+                MessageKind.CHECKPOINT,
+                Message.MASTER,
+                w,
+                OBJECT_OVERHEAD_BYTES + len(payload),
             )
-            ex = runtime.run_all(
-                "restore", payload=payload, workers=[w], iteration=t
-            )
-            settle(ex)
-            total += ex.seconds
-            trace.add_recovery(
-                RecoveryEvent(
-                    round=t,
-                    kind="worker",
-                    mode=mode,
-                    worker=w,
-                    detect_s=detect_share,
-                    reload_s=respawn_s / len(dead) + ex.seconds,
-                )
-            )
-            detect_share = 0.0  # the episode's detection delay is paid once
-        return total
-
-    def exchange_reliably(
-        t: int,
-        op: str,
-        args: Optional[dict] = None,
-        payload: Optional[bytes] = None,
-        per_worker_args: Optional[Dict[int, dict]] = None,
-    ) -> Tuple[Dict[int, WorkerReply], List[int], float, int, Dict[int, WorkerReply]]:
-        """One exchange that survives worker-process death.
-
-        Runs ``op`` across all workers; on detected death it respawns +
-        restores (checkpoint -> zero-init) and re-issues the op to every
-        worker still missing — deterministic ops make the re-run exact.
-        Returns ``(replies, silent_workers, seconds, retries, acks)``
-        where ``silent_workers`` are alive-but-timed-out workers left for
-        the sync policy to resolve and ``acks`` the posted update replies
-        the exchange drained first.
-        """
-        replies: Dict[int, WorkerReply] = {}
-        acks: Dict[int, WorkerReply] = {}
-        failures: Dict[int, object] = {}
-        seconds = 0.0
-        retries = 0
-        targets = list(range(K))
-        extra = per_worker_args
-        for _ in range(_MAX_RECOVERY_ROUNDS):
-            ex = runtime.run_all(
-                op,
-                args=args,
-                payload=payload,
-                per_worker_args=extra,
-                workers=targets,
-                iteration=t,
-                raise_on_fault=False,
-            )
-            replies.update(ex.replies)
-            acks.update(settle(ex))
-            seconds += ex.seconds
-            retries += ex.retries
-            failures = dict(ex.failures)
-            if not ex.dead_workers():
-                break
-            seconds += recover_dead(t, detect_s=ex.seconds)
-            targets = sorted(failures)  # everyone still missing
-            extra = None  # injected straggler delays apply once
-        else:
-            raise WorkerUnresponsiveError(
-                op,
-                dead=runtime.dead_workers(),
-                silent=sorted(failures),
-            )
-        return replies, sorted(failures), seconds, retries, acks
+        )
+        ex = runtime.run_all("restore", payload=payload, workers=[w], iteration=t)
+        settle(ex.acks)
+        return mode, ex.seconds
 
     # ------------------------------------------------------------------
     # the measured round
@@ -446,15 +314,14 @@ def run_local_columnsgd(
         nonlocal posted
         round_start = runtime.clock.now()
         extra_s = 0.0
-        stall_args: Optional[Dict[int, dict]] = None
-        if chaos is not None:
-            stall_args = runtime.inject_faults(chaos.events_at(t)) or None
+        stall_args = harness.stall_args(t)
         if store is not None and t % policy.checkpoint_every == 0:
             extra_s += write_checkpoint(t)
 
-        stats_replies, silent, stats_s, retries, acks = exchange_reliably(
+        stats_replies, silent, stats_s, retries, acks = harness.exchange(
             t, "compute", args={"t": t}, per_worker_args=stall_args
         )
+        settle(acks)
         book_update()
         if silent and not stale_allowed:
             raise WorkerUnresponsiveError("compute", silent=silent)
@@ -496,16 +363,14 @@ def run_local_columnsgd(
         )
         runtime.broadcast(MessageKind.STATISTICS_BCAST, len(reduced_payload))
 
-        stats_busy = runtime.busiest_process_seconds(stats_replies)
         phase_seconds = {
-            "compute_statistics": stats_busy,
+            "compute_statistics": runtime.busiest_process_seconds(stats_replies),
             # the drained update ran ahead of compute in the same pipes
             "gather": max(
                 0.0, stats_s - runtime.busiest_process_seconds(stats_replies, acks)
             ),
             "reduce": reduce_s,
             "broadcast": update.seconds,
-            "update_model": 0.0,  # booked from the acks by book_update
         }
         worker_seconds = {
             "compute_statistics": {
@@ -513,65 +378,61 @@ def run_local_columnsgd(
             },
             "update_model": {},
         }
-        offset = _trace_phases(
-            trace,
-            t,
-            round_start,
-            {name: phase_seconds[name] for name in _PHASES if name != "update_model"},
-        )
+        offset = harness.trace_phases(t, round_start, phase_seconds)
+        phase_seconds["update_model"] = 0.0  # booked from the acks by book_update
         posted = _PostedUpdate(t, round_start, offset, phase_seconds, worker_seconds)
         driver.last_phase_seconds = phase_seconds
         driver.last_worker_seconds = worker_seconds
         driver.last_killed = {
-            e.worker for e in trace.round_recoveries(t) if e.worker is not None
+            e.worker for e in harness.trace.round_recoveries(t) if e.worker is not None
         }
         expected = {
             MessageKind.STATISTICS_PUSH: (len(arrived), sum(sizes)),
             MessageKind.STATISTICS_BCAST: (K, K * len(reduced_payload)),
         }
-        if retries:
-            # each retry is one resend, plus (for garbles) one wasted
-            # arrival — bound, not exact, like the sim's ARQ envelope
-            frame = OBJECT_OVERHEAD_BYTES + max(sizes + [len(reduced_payload)])
-            expected[MessageKind.RETRY] = TrafficEnvelope(
-                retries, 2 * retries, 0, 2 * retries * frame
-            )
         return RoundOutcome(
             duration=stats_s + reduce_s + update.seconds + extra_s,
             phase_seconds=phase_seconds,
             worker_seconds=worker_seconds,
             chosen=set(arrived),
-            expected=expected,
+            expected=expect_retries(
+                expected, retries, sizes + [len(reduced_payload)]
+            ),
         )
 
     def record(t: int, duration: float, bytes_sent: int, evaluate: bool) -> None:
         if evaluate:
-            settle(sync_params(runtime, driver))
+            settle(sync_params(runtime, driver).acks)
             book_update()
-        driver._record(
-            result, t, duration, bytes_sent, evaluate, now=runtime.clock.now()
-        )
+        harness.record(t, duration, bytes_sent, evaluate)
 
-    try:
-        stopped_at = run_training_loop(
-            cluster=runtime,
-            run_round=run_round,
-            iterations=iterations,
-            eval_every=config.eval_every,
-            record=record,
-            checker=checker,
-            should_stop=lambda: driver._should_stop_early(result),
-        )
-        if stopped_at is not None:
-            result.notes = "early stop at iteration {}".format(stopped_at)
-        settle(sync_params(runtime, driver))
+    def finish() -> None:
+        settle(sync_params(runtime, driver).acks)
         book_update()
         driver.store_read_stats = collect_store_stats(runtime)
+
+    try:
+        harness = LocalHarness(
+            driver,
+            result,
+            _timeout_policy(config),
+            program_for=partial(_build_program, driver),
+            restore=restore,
+        )
+        runtime = harness.runtime
+        K = runtime.n_workers
+        stopped_at = harness.run(
+            run_round,
+            iterations,
+            record=record,
+            should_stop=lambda: driver._should_stop_early(result),
+            finish=finish,
+        )
     finally:
-        if owns_runtime:
-            runtime.close()
         if store is not None:
             store.close()
+    if stopped_at is not None:
+        result.notes = "early stop at iteration {}".format(stopped_at)
     result.final_params = driver.current_params()
     return result
 
@@ -602,41 +463,3 @@ def collect_store_stats(runtime: LocalRuntime) -> Dict[int, Dict[int, Dict[str, 
     return {
         w: reply.result["stats"] for w, reply in exchange.replies.items()
     }
-
-
-def _trace_phases(
-    trace: EngineTrace,
-    t: int,
-    round_start: float,
-    phase_seconds: Dict[str, float],
-    offset: float = 0.0,
-) -> float:
-    """Record measured phases as sequential :class:`PhaseEvent` spans.
-
-    The spans start ``offset`` seconds into round ``t``; returns the
-    offset where the last one ends.
-    """
-    for name, seconds in phase_seconds.items():
-        trace.add(
-            PhaseEvent(
-                round=t,
-                phase=name,
-                category=_CATEGORIES[name],
-                start=offset,
-                end=offset + seconds,
-                sim_start=round_start + offset,
-                sim_end=round_start + offset + seconds,
-                kind=_KINDS.get(name),
-            )
-        )
-        offset += seconds
-    return offset
-
-
-def local_round_sizes(driver) -> List[int]:
-    """Analytic per-worker statistics bytes (what the codec must emit)."""
-    B, width = driver.config.batch_size, driver.model.statistics_width
-    from repro.storage.serialization import OBJECT_OVERHEAD_BYTES
-
-    size = OBJECT_OVERHEAD_BYTES + B * width * driver.config.wire_value_bytes
-    return [size] * driver.cluster.n_workers

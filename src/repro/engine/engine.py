@@ -169,18 +169,7 @@ class RoundEngine:
         duration = sync.round_duration(ctx, critical_end)
 
         for _, (phase, start, end) in queue.drain():
-            self.trace.add(
-                PhaseEvent(
-                    round=t,
-                    phase=phase.name,
-                    category=_CATEGORY[type(phase)],
-                    start=start,
-                    end=end,
-                    sim_start=round_start + start,
-                    sim_end=round_start + end,
-                    kind=phase.kind.value if isinstance(phase, CommPhase) else None,
-                )
-            )
+            self.trace.add(phase_event(phase, t, round_start, start, end))
 
         if self.spec.envelopes is not None:
             expected.update(getattr(self.trainer, self.spec.envelopes)(ctx))
@@ -282,3 +271,18 @@ _CATEGORY = {
     CommPhase: "comm",
     MasterPhase: "master",
 }
+
+
+def phase_event(phase, t: int, round_start: float, start: float, end: float) -> PhaseEvent:
+    """The trace span of ``phase`` over ``[start, end)`` of round ``t``
+    (offsets from the round start at ``round_start``)."""
+    return PhaseEvent(
+        round=t,
+        phase=phase.name,
+        category=_CATEGORY[type(phase)],
+        start=start,
+        end=end,
+        sim_start=round_start + start,
+        sim_end=round_start + end,
+        kind=phase.kind.value if isinstance(phase, CommPhase) else None,
+    )

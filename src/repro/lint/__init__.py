@@ -22,8 +22,8 @@ function and module boundaries:
 * **R008** — no wall-clock source reachable from protocol-path code;
 * **R009** — ``Message`` byte sizes trace back to serialization helpers
   or named constants across function boundaries;
-* **R010** — each trainer's statically-extracted per-round message
-  kinds match its declared ``_round_expected`` traffic;
+* **R010** — each message kind a trainer's round executors emit is
+  declared by a ``CommPhase`` of its ``RoundSpec``;
 * **R011** — ``models``/``linalg``/``optim`` never import (even
   transitively) ``sim``/``net``/``core``;
 * **R012** — phases a spec's ``after=`` DAG leaves unordered must not

@@ -20,10 +20,11 @@ five interprocedural analyses on top:
   *across* function boundaries (parameters to caller arguments, calls to
   returned expressions) — the interprocedural completion of R002;
 * **R010** — static BSP protocol extraction: the message kinds a
-  trainer's round loop emits must equal the kinds it declares in
-  ``self._round_expected`` for the runtime
-  :class:`~repro.net.protocol.ProtocolChecker`, so code/declaration
-  drift fails ``python -m repro.lint`` instead of a runtime repro;
+  trainer's round executors emit must be declared as ``CommPhase``
+  kinds of its ``RoundSpec`` (what the runtime
+  :class:`~repro.net.protocol.ProtocolChecker` expects), so
+  code/declaration drift fails ``python -m repro.lint`` instead of a
+  runtime repro;
 * **R011** — import layering: ``models``/``linalg``/``optim`` must
   never import (directly or transitively) ``sim``/``net``/``core``.
 
@@ -894,37 +895,6 @@ def compute_emission_summaries(index: ProgramIndex) -> Dict[FunctionInfo, Emissi
     return summaries
 
 
-def _round_expected_dicts(method: FunctionInfo) -> List[Tuple[ast.AST, Set[str]]]:
-    """``self._round_expected = {...}`` assignments and their kind keys."""
-    out: List[Tuple[ast.AST, Set[str]]] = []
-    for node in ast.walk(method.node):
-        if not isinstance(node, ast.Assign):
-            continue
-        hits = any(
-            isinstance(target, ast.Attribute)
-            and target.attr == "_round_expected"
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-            for target in node.targets
-        )
-        if not hits:
-            continue
-        kinds: Set[str] = set()
-        found_dict = False
-        for sub in ast.walk(node.value):
-            if isinstance(sub, ast.Dict):
-                found_dict = True
-                for keynode in sub.keys:
-                    if keynode is None:
-                        continue
-                    kind = _kind_of(keynode)
-                    if kind is not None:
-                        kinds.add(kind)
-        if found_dict:
-            out.append((node, kinds))
-    return out
-
-
 #: Per phase-constructor: keyword arguments whose string values name
 #: trainer methods the engine will call (the statically-known executor
 #: entry points of a RoundSpec).
@@ -1006,14 +976,10 @@ def _walk_round_emissions(
     cls: ClassInfo,
     mro: Sequence[ClassInfo],
     roots: List[FunctionInfo],
-) -> Tuple[Set[str], Set[str], Optional[ast.AST], Optional[ModuleInfo]]:
+) -> Set[str]:
     """Transitive ``Message`` kinds reachable from ``roots`` under
-    ``cls``'s MRO, plus any legacy ``_round_expected`` declarations
-    found along the way."""
+    ``cls``'s MRO."""
     emitted: Set[str] = set()
-    declared: Set[str] = set()
-    decl_node: Optional[ast.AST] = None
-    decl_module: Optional[ModuleInfo] = None
     visited: Set[str] = set()
     stack: List[FunctionInfo] = list(roots)
     while stack:
@@ -1021,10 +987,6 @@ def _walk_round_emissions(
         if method.qualname in visited:
             continue
         visited.add(method.qualname)
-        for node, kinds in _round_expected_dicts(method):
-            declared |= kinds
-            if decl_node is None:
-                decl_node, decl_module = node, method.module
         for call, chain in method.calls:
             if chain[0] == "self" and len(chain) == 2:
                 target = index.resolve_self_method(chain[1], mro)
@@ -1046,7 +1008,7 @@ def _walk_round_emissions(
                     kind = _kind_of(arg) if arg is not None else None
                     if kind is not None:
                         emitted.add(kind)
-    return emitted, declared, decl_node, decl_module
+    return emitted
 
 
 def _extract_spec_protocol(
@@ -1095,35 +1057,9 @@ def _extract_spec_protocol(
         method = index.resolve_self_method(name, mro)
         if method is not None:
             declared |= _envelope_kinds(method)
-    emitted, _, _, _ = _walk_round_emissions(index, summaries, cls, mro, roots)
+    emitted = _walk_round_emissions(index, summaries, cls, mro, roots)
     return {
         "style": "spec",
-        "emitted": emitted - set(UNCHECKED_KINDS),
-        "declared": declared - set(UNCHECKED_KINDS),
-        "module": decl_module or module,
-        "node": decl_node or cls.node,
-    }
-
-
-def _extract_legacy_protocol(
-    index: ProgramIndex,
-    summaries: Dict[FunctionInfo, "EmissionSummary"],
-    module: ModuleInfo,
-    cls: ClassInfo,
-) -> Optional[dict]:
-    """Legacy record: a hand-rolled ``_run_iteration`` loop audited
-    against its ``self._round_expected`` dict literals."""
-    if not any(_round_expected_dicts(method) for method in cls.methods.values()):
-        return None
-    mro = index.mro(cls)
-    root = index.resolve_self_method("_run_iteration", mro)
-    if root is None:
-        return None
-    emitted, declared, decl_node, decl_module = _walk_round_emissions(
-        index, summaries, cls, mro, [root]
-    )
-    return {
-        "style": "legacy",
         "emitted": emitted - set(UNCHECKED_KINDS),
         "declared": declared - set(UNCHECKED_KINDS),
         "module": decl_module or module,
@@ -1134,17 +1070,12 @@ def _extract_legacy_protocol(
 def extract_round_protocol(index: ProgramIndex) -> Dict[str, dict]:
     """Static per-trainer round protocol: emitted vs. declared kinds.
 
-    Two declaration styles are recognised, in order:
-
-    * **spec** — the class (or a base) defines ``round_spec`` and its
-      resolved MRO methods construct ``CommPhase`` declarations; the
-      declared kinds are read straight from the spec (plus any
-      ``TrafficEnvelope`` dict keys of the spec's ``envelopes``
-      provider) and the emitted kinds are whatever ``Message`` sends
-      are reachable from the spec's executor methods.
-    * **legacy** — the class assigns ``self._round_expected`` a dict
-      literal and has ``_run_iteration`` in its MRO; the round loop is
-      walked with subclass overrides honoured.
+    A trainer is a class that (or whose base) defines ``round_spec``
+    and whose resolved MRO methods construct ``CommPhase``
+    declarations; the declared kinds are read straight from the spec
+    (plus any ``TrafficEnvelope`` dict keys of the spec's ``envelopes``
+    provider) and the emitted kinds are whatever ``Message`` sends are
+    reachable from the spec's executor methods.
 
     Returns ``{class qualname: {"style", "emitted", "declared",
     "module", "node"}}`` with :data:`UNCHECKED_KINDS` removed.
@@ -1154,8 +1085,6 @@ def extract_round_protocol(index: ProgramIndex) -> Dict[str, dict]:
     for module in index.modules:
         for cls in module.classes.values():
             record = _extract_spec_protocol(index, summaries, module, cls)
-            if record is None:
-                record = _extract_legacy_protocol(index, summaries, module, cls)
             if record is not None:
                 results[cls.qualname] = record
     return results
@@ -1163,16 +1092,17 @@ def extract_round_protocol(index: ProgramIndex) -> Dict[str, dict]:
 
 @register_program
 class ProtocolDriftRule(ProgramRule):
-    """R010: a trainer's emitted message kinds must equal its declared
-    expected traffic, so the runtime ProtocolChecker declarations cannot
-    silently drift away from the code they describe."""
+    """R010: every message kind a trainer's round executors emit must be
+    declared in its RoundSpec, so the runtime ProtocolChecker
+    declarations cannot silently drift away from the code they
+    describe."""
 
     rule_id = "R010"
     title = "round-loop traffic disagrees with declared expected traffic"
     severity = "error"
     fix_hint = (
         "declare the kind as a CommPhase/envelope in the RoundSpec (or drop "
-        "the rogue emission); for legacy loops update _round_expected"
+        "the rogue emission)"
     )
 
     def run(self) -> None:
@@ -1180,26 +1110,17 @@ class ProtocolDriftRule(ProgramRule):
             module = record["module"]
             if module.ctx.is_test_code():
                 continue
+            # The engine emits every declared CommPhase itself, so only
+            # rogue emissions can drift.
             undeclared = sorted(record["emitted"] - record["declared"])
-            # Spec-style trainers: the engine emits every declared
-            # CommPhase itself, so only rogue emissions can drift.
-            unemitted = (
-                []
-                if record["style"] == "spec"
-                else sorted(record["declared"] - record["emitted"])
-            )
-            if not undeclared and not unemitted:
-                continue
-            details = []
             if undeclared:
-                details.append("emits undeclared kind(s) {}".format(undeclared))
-            if unemitted:
-                details.append("declares unemitted kind(s) {}".format(unemitted))
-            self.report(
-                module,
-                record["node"],
-                "trainer {} {}".format(qualname.split(".")[-1], "; ".join(details)),
-            )
+                self.report(
+                    module,
+                    record["node"],
+                    "trainer {} emits undeclared kind(s) {}".format(
+                        qualname.split(".")[-1], undeclared
+                    ),
+                )
 
 
 # ----------------------------------------------------------------------

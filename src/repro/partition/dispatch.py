@@ -24,7 +24,9 @@ Fig 11(a) can be regenerated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.datasets.dataset import Dataset
 from repro.net.message import Message, MessageKind
@@ -39,7 +41,9 @@ from repro.storage.serialization import (
     OBJECT_OVERHEAD_BYTES,
     SHUFFLE_RECORD_OVERHEAD_BYTES,
     VALUE_BYTES,
+    csr_matrix_bytes,
     sparse_row_bytes,
+    workset_bytes,
 )
 from repro.utils.validation import check_positive
 
@@ -82,6 +86,75 @@ class LoadReport:
 def _balance(per_worker: List[float]) -> float:
     """BSP phase duration: the slowest worker."""
     return max(per_worker) if per_worker else 0.0
+
+
+def charge_block_dispatch(
+    cluster: SimulatedCluster,
+    block_rows: Sequence[int],
+    nnz_table: np.ndarray,
+    costs: LoadCostModel,
+) -> LoadReport:
+    """Charge ``cluster`` one block-based dispatch (Algorithm 4's cost).
+
+    Everything the dispatch costs is a function of each block's row
+    count and of the ``(K, n_blocks)`` table of non-zeros each
+    destination receives from each block, so the in-memory dispatcher
+    and a shard store's footers share this one loop: same read times,
+    same per-object serialize/deserialize charges in the same order,
+    same WORKSET messages, same phase balance and clock advance.
+    """
+    K = cluster.n_workers
+    read_bandwidth = cluster.spec.disk_bandwidth_bytes_per_s
+    dispatch_busy = [0.0] * K   # read + split + serialize per dispatcher
+    receive_busy = [0.0] * K    # deserialize per destination
+    send_bytes = [0] * K
+    recv_bytes = [0] * K
+    n_objects = 0
+
+    # The master hands blocks to idle workers; with homogeneous workers
+    # that degenerates to round-robin by block id.
+    for i, n_rows in enumerate(block_rows):
+        dispatcher = i % K
+        n_rows = int(n_rows)
+        block_nnz = sum(int(nnz_table[dest, i]) for dest in range(K))
+        stored = csr_matrix_bytes(n_rows, block_nnz, with_labels=True)
+        dispatch_busy[dispatcher] += stored / read_bandwidth
+        dispatch_busy[dispatcher] += block_nnz * costs.split_seconds_per_nnz
+        for dest in range(K):
+            dest_nnz = int(nnz_table[dest, i])
+            size = workset_bytes(n_rows, dest_nnz)
+            n_objects += 1
+            dispatch_busy[dispatcher] += costs.serialize_seconds_per_object
+            receive_busy[dest] += (
+                costs.deserialize_seconds_per_object
+                + dest_nnz * costs.deserialize_seconds_per_nnz
+            )
+            if dest != dispatcher:
+                # The dispatcher's own workset is a local shuffle fetch:
+                # it is serialized and deserialized, but never crosses
+                # the network.
+                send_bytes[dispatcher] += size
+                recv_bytes[dest] += size
+                cluster.network.send(Message(MessageKind.WORKSET, dispatcher, dest, size))
+
+    bandwidth = cluster.network.bandwidth
+    phases = {
+        "dispatch": _balance(dispatch_busy),
+        "network": max(
+            _balance([b / bandwidth for b in send_bytes]),
+            _balance([b / bandwidth for b in recv_bytes]),
+        ),
+        "receive": _balance(receive_busy),
+    }
+    seconds = cluster.cost.task_overhead + sum(phases.values())
+    cluster.clock.advance(seconds)
+    return LoadReport(
+        strategy="ColumnSGD",
+        seconds=seconds,
+        bytes_shuffled=sum(send_bytes),
+        n_objects_shipped=n_objects,
+        phase_seconds=phases,
+    )
 
 
 def _build_stores(
@@ -136,54 +209,11 @@ def dispatch_block_based(
         read_bandwidth=cluster.spec.disk_bandwidth_bytes_per_s,
     )
     stores, block_sizes, worksets_by_block = _build_stores(dataset, assignment, hdfs)
-
-    dispatch_busy = [0.0] * K   # read + split + serialize per dispatcher
-    receive_busy = [0.0] * K    # deserialize per destination
-    send_bytes = [0] * K
-    recv_bytes = [0] * K
-    n_objects = 0
-
-    # The master hands blocks to idle workers; with homogeneous workers
-    # that degenerates to round-robin by block id.
-    for i, block in enumerate(hdfs.blocks):
-        dispatcher = i % K
-        block_nnz = sum(ws.features.nnz for ws in worksets_by_block[i])
-        dispatch_busy[dispatcher] += hdfs.read_time(block.block_id)
-        dispatch_busy[dispatcher] += block_nnz * costs.split_seconds_per_nnz
-        for dest, workset in enumerate(worksets_by_block[i]):
-            size = workset.serialized_bytes()
-            n_objects += 1
-            dispatch_busy[dispatcher] += costs.serialize_seconds_per_object
-            receive_busy[dest] += (
-                costs.deserialize_seconds_per_object
-                + workset.features.nnz * costs.deserialize_seconds_per_nnz
-            )
-            if dest != dispatcher:
-                # The dispatcher's own workset is a local shuffle fetch:
-                # it is serialized and deserialized, but never crosses
-                # the network.
-                send_bytes[dispatcher] += size
-                recv_bytes[dest] += size
-                cluster.network.send(Message(MessageKind.WORKSET, dispatcher, dest, size))
-
-    bandwidth = cluster.network.bandwidth
-    phases = {
-        "dispatch": _balance(dispatch_busy),
-        "network": max(
-            _balance([b / bandwidth for b in send_bytes]),
-            _balance([b / bandwidth for b in recv_bytes]),
-        ),
-        "receive": _balance(receive_busy),
-    }
-    seconds = cluster.cost.task_overhead + sum(phases.values())
-    cluster.clock.advance(seconds)
-    report = LoadReport(
-        strategy="ColumnSGD",
-        seconds=seconds,
-        bytes_shuffled=sum(send_bytes),
-        n_objects_shipped=n_objects,
-        phase_seconds=phases,
-    )
+    block_rows = [block_sizes[block.block_id] for block in hdfs.blocks]
+    nnz_table = np.zeros((K, len(block_rows)), dtype=np.int64)
+    for i, per_dest in enumerate(worksets_by_block):
+        nnz_table[:, i] = [workset.features.nnz for workset in per_dest]
+    report = charge_block_dispatch(cluster, block_rows, nnz_table, costs)
     return stores, block_sizes, report
 
 

@@ -41,7 +41,8 @@ Fault tolerance (the real-process port of ``docs/faults.md``):
   restore their logical workers from checkpoints.
 
 Division of labour with the trainer-side executors
-(``repro.core.localexec`` / ``repro.baselines.localexec``):
+(``repro.core.localexec`` / ``repro.baselines.localexec``, on the
+shared harness in ``repro.engine.local``):
 
 * the runtime owns processes, pipes, measurement, fault injection
   mechanics, and traffic accounting — and is the only module in the
@@ -49,7 +50,8 @@ Division of labour with the trainer-side executors
   lint scope, and rule R008 sanctions calls into it);
 * the executors own the algorithm *and the recovery policy*: what ops
   to issue, how to reduce, when to checkpoint, how to restore a
-  respawned worker.
+  respawned worker; the harness re-issues ops after a death and books
+  the recovery episodes.
 
 The size-based :class:`Runtime` transport methods are implemented as
 **accounting primitives**: they record the per-kind/per-node

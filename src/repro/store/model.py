@@ -7,26 +7,25 @@ from the golden trajectories and the ProtocolChecker's Table-I audit.
 Everything :func:`~repro.partition.dispatch.dispatch_block_based`
 charges is a function of per-(block, destination) ``(n_rows, nnz)``
 pairs, all of which the shard footers record, so :class:`StoreModel`
-replays the accounting loop term-for-term from metadata alone — no
-record data is read, and the floating-point accumulation order is
-identical by construction.
+feeds the footer tables to the dispatcher's own accounting loop
+(:func:`~repro.partition.dispatch.charge_block_dispatch`) — no record
+data is read, and the floating-point accumulation order is identical
+by construction.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.net.message import Message, MessageKind
-from repro.partition.dispatch import LoadCostModel, LoadReport
+from repro.partition.dispatch import LoadCostModel, LoadReport, charge_block_dispatch
 from repro.sim.cluster import SimulatedCluster
-from repro.storage.serialization import csr_matrix_bytes, workset_bytes
 
 
 class StoreModel:
-    """Replays block-dispatch load accounting from shard footers.
+    """Block-dispatch load accounting from shard footers.
 
     Parameters
     ----------
@@ -49,93 +48,24 @@ class StoreModel:
             )
 
     @property
-    def n_blocks(self) -> int:
-        return int(self.block_rows.shape[0])
-
-    @property
     def n_workers(self) -> int:
         return int(self.nnz_by_worker.shape[0])
-
-    def block_bytes(self, block_id: int) -> int:
-        """Stored size of the source row block (labels included) — what
-        :meth:`~repro.storage.hdfs.SimulatedHDFS.block_bytes` answers."""
-        n_rows = int(self.block_rows[block_id])
-        block_nnz = int(self.nnz_by_worker[:, block_id].sum())
-        return csr_matrix_bytes(n_rows, block_nnz, with_labels=True)
 
     def charge_load(
         self,
         cluster: SimulatedCluster,
         costs: Optional[LoadCostModel] = None,
     ) -> LoadReport:
-        """Charge the cluster one block-based dispatch, footer-driven.
-
-        Term-for-term mirror of
-        :func:`~repro.partition.dispatch.dispatch_block_based`: same
-        read times (disk bandwidth over the reconstructed block bytes),
-        same per-object serialize/deserialize charges in the same loop
-        order, same WORKSET messages, same phase balance and clock
-        advance — so a store-backed sim run is bit-identical to an
-        in-memory one.
-        """
-        costs = costs or LoadCostModel()
-        K = cluster.n_workers
-        if K != self.n_workers:
+        """Charge the cluster one block-based dispatch, footer-driven —
+        the same accounting loop
+        :func:`~repro.partition.dispatch.dispatch_block_based` runs, so
+        a store-backed sim run is bit-identical to an in-memory one."""
+        if cluster.n_workers != self.n_workers:
             raise ConfigurationError(
                 "store was sharded for {} worker(s) but the cluster has {}".format(
-                    self.n_workers, K
+                    self.n_workers, cluster.n_workers
                 )
             )
-        read_bandwidth = cluster.spec.disk_bandwidth_bytes_per_s
-
-        dispatch_busy = [0.0] * K
-        receive_busy = [0.0] * K
-        send_bytes = [0] * K
-        recv_bytes = [0] * K
-        n_objects = 0
-
-        for i in range(self.n_blocks):
-            dispatcher = i % K
-            n_rows = int(self.block_rows[i])
-            block_nnz = sum(int(self.nnz_by_worker[w, i]) for w in range(K))
-            dispatch_busy[dispatcher] += self.block_bytes(i) / read_bandwidth
-            dispatch_busy[dispatcher] += block_nnz * costs.split_seconds_per_nnz
-            for dest in range(K):
-                dest_nnz = int(self.nnz_by_worker[dest, i])
-                size = workset_bytes(n_rows, dest_nnz)
-                n_objects += 1
-                dispatch_busy[dispatcher] += costs.serialize_seconds_per_object
-                receive_busy[dest] += (
-                    costs.deserialize_seconds_per_object
-                    + dest_nnz * costs.deserialize_seconds_per_nnz
-                )
-                if dest != dispatcher:
-                    send_bytes[dispatcher] += size
-                    recv_bytes[dest] += size
-                    cluster.network.send(
-                        Message(MessageKind.WORKSET, dispatcher, dest, size)
-                    )
-
-        bandwidth = cluster.network.bandwidth
-        phases = {
-            "dispatch": _slowest(dispatch_busy),
-            "network": max(
-                _slowest([b / bandwidth for b in send_bytes]),
-                _slowest([b / bandwidth for b in recv_bytes]),
-            ),
-            "receive": _slowest(receive_busy),
-        }
-        seconds = cluster.cost.task_overhead + sum(phases.values())
-        cluster.clock.advance(seconds)
-        return LoadReport(
-            strategy="ColumnSGD",
-            seconds=seconds,
-            bytes_shuffled=sum(send_bytes),
-            n_objects_shipped=n_objects,
-            phase_seconds=phases,
+        return charge_block_dispatch(
+            cluster, self.block_rows, self.nnz_by_worker, costs or LoadCostModel()
         )
-
-
-def _slowest(per_worker: List[float]) -> float:
-    """BSP phase duration — the slowest worker (dispatch's ``_balance``)."""
-    return max(per_worker) if per_worker else 0.0

@@ -1,8 +1,9 @@
-"""R010 trigger: round-loop traffic drifts from the declaration.
+"""R010 trigger: an executor's traffic drifts from the declaration.
 
-``DriftTrainer`` emits ``MODEL_PULL`` but declares ``GRADIENT_PUSH`` as
-its expected per-round traffic — exactly the code/declaration drift the
-static extractor exists to catch before a runtime repro does.
+``DriftTrainer``'s RoundSpec declares only a ``MODEL_PULL`` CommPhase,
+but its compute executor sends ``GRADIENT_PUSH`` on the wire behind the
+spec's back — exactly the code/declaration drift the static extractor
+exists to catch before a runtime repro does.
 """
 
 
@@ -17,13 +18,45 @@ class Message:
         self.size_bytes = size_bytes
 
 
+class ComputePhase:
+    def __init__(self, name, run):
+        self.name = name
+        self.run = run
+
+
+class CommPhase:
+    def __init__(self, name, kind, pattern, sizes):
+        self.name = name
+        self.kind = kind
+
+
+class RoundSpec:
+    def __init__(self, system, phases):
+        self.phases = phases
+
+
 def drift_model_bytes():
     return 0
 
 
 class DriftTrainer:
-    def _run_iteration(self, net, t):
-        net.send(Message(MessageKind.MODEL_PULL, -1, 0, drift_model_bytes()))
-        self._round_expected = {
-            MessageKind.GRADIENT_PUSH: (1, drift_model_bytes()),
-        }
+    def round_spec(self):
+        return RoundSpec(
+            system="Drift",
+            phases=(
+                ComputePhase("compute", run="_phase_compute"),
+                CommPhase(
+                    "pull",
+                    kind=MessageKind.MODEL_PULL,
+                    pattern="broadcast",
+                    sizes="_pull_size",
+                ),
+            ),
+        )
+
+    def _phase_compute(self, net):
+        net.send(Message(MessageKind.GRADIENT_PUSH, 0, -1, drift_model_bytes()))
+        return {}
+
+    def _pull_size(self, ctx):
+        return drift_model_bytes()
